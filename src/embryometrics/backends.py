@@ -18,7 +18,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -67,73 +67,68 @@ class BackendSuite:
     pronuclei: InstanceDetector
 
 
-class _TableSegmenter(ZonaSegmenter):
-    def __init__(self, table: Mapping[tuple[int, int], SegmentationMap]):
+class _Table(ZonaSegmenter, FragmentationScorer, StageClassifier, InstanceDetector):
+    """Any model served from a lookup table.
+
+    Keys are ``(frame, plane)``, or the frame alone for stage
+    probabilities. A missing key raises ``KeyError`` unless a default
+    is given: no line in a detector table means it found nothing there.
+    """
+
+    def __init__(self, table: Mapping, default=None):
         self._table = dict(table)
+        self._default = default
+
+    def _get(self, key):
+        if self._default is None:
+            return self._table[key]
+        return self._table.get(key, self._default)
 
     def segment(self, movie, frame, plane):
-        return self._table[(frame, plane)]
-
-
-class _TableFragmentation(FragmentationScorer):
-    def __init__(self, table: Mapping[tuple[int, int], float]):
-        self._table = dict(table)
+        return self._get((frame, plane))
 
     def score(self, movie, frame, plane, roi):
-        return self._table[(frame, plane)]
-
-
-class _TableStage(StageClassifier):
-    def __init__(self, table: Mapping[int, np.ndarray]):
-        self._table = dict(table)
+        return self._get((frame, plane))
 
     def probabilities(self, movie, frame, roi):
-        return self._table[frame]
-
-
-class _TableDetector(InstanceDetector):
-    def __init__(self, table: Mapping[tuple[int, int], tuple[InstanceCandidate, ...]]):
-        self._table = dict(table)
+        return self._get(frame)
 
     def detect(self, movie, frame, plane, roi):
-        # No line in the table means the detector found nothing there.
-        return self._table.get((frame, plane), ())
+        return self._get((frame, plane))
 
 
 def suite_from_tables(
     seg: Mapping, frag: Mapping, stage: Mapping, cells: Mapping, pronuclei: Mapping
 ) -> BackendSuite:
     return BackendSuite(
-        segmenter=_TableSegmenter(seg),
-        fragmentation=_TableFragmentation(frag),
-        stage=_TableStage(stage),
-        cells=_TableDetector(cells),
-        pronuclei=_TableDetector(pronuclei),
+        segmenter=_Table(seg),
+        fragmentation=_Table(frag),
+        stage=_Table(stage),
+        cells=_Table(cells, default=()),
+        pronuclei=_Table(pronuclei, default=()),
     )
+
+
+def _plane_table(per_frame: Sequence[Mapping[int, object]]) -> dict:
+    """Flatten per-frame ``{plane: value}`` maps into a ``(frame, plane)`` table."""
+    return {
+        (i, plane): value
+        for i, planes in enumerate(per_frame)
+        for plane, value in planes.items()
+    }
 
 
 def synth_backend_suite(truth: GroundTruth, config: SynthConfig) -> BackendSuite:
     """Render all model outputs for the movie once and serve lookups."""
     rendered = render_model_outputs(truth, config)
     mid = truth.plane_count // 2
-    seg = {(i, mid): m for i, m in enumerate(rendered.seg_maps)}
-    frag = {
-        (i, plane): score
-        for i, scores in enumerate(rendered.fragmentation)
-        for plane, score in scores.items()
-    }
-    stage = {i: vec for i, vec in enumerate(rendered.stage_probs)}
-    cells = {
-        (i, plane): cands
-        for i, planes in enumerate(rendered.cells)
-        for plane, cands in planes.items()
-    }
-    pronuclei = {
-        (i, plane): cands
-        for i, planes in enumerate(rendered.pronuclei)
-        for plane, cands in planes.items()
-    }
-    return suite_from_tables(seg, frag, stage, cells, pronuclei)
+    return suite_from_tables(
+        seg={(i, mid): m for i, m in enumerate(rendered.seg_maps)},
+        frag=_plane_table(rendered.fragmentation),
+        stage=dict(enumerate(rendered.stage_probs)),
+        cells=_plane_table(rendered.cells),
+        pronuclei=_plane_table(rendered.pronuclei),
+    )
 
 
 def file_backend_suite(bundle_dir: Path | str) -> BackendSuite:
@@ -145,11 +140,4 @@ def file_backend_suite(bundle_dir: Path | str) -> BackendSuite:
     d = Path(bundle_dir)
     if (d / "backend").is_dir():
         d = d / "backend"
-    tables = read_backend_tables(d)
-    return suite_from_tables(
-        tables["seg"],
-        tables["frag"],
-        tables["stage"],
-        tables["cells"],
-        tables["pronuclei"],
-    )
+    return suite_from_tables(**read_backend_tables(d))

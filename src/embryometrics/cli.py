@@ -45,10 +45,7 @@ def _load_synth_config(path: str | None) -> SynthConfig:
 def _load_pipeline_config(path: str | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
-    obj = serialize.read_json(path)
-    if not isinstance(obj, dict):
-        raise FormatError("pipeline config must be a JSON object")
-    return PipelineConfig.from_obj(obj)
+    return PipelineConfig.from_obj(serialize.read_json(path))
 
 
 def write_bundle(out_dir: Path, config: SynthConfig) -> None:
@@ -176,7 +173,7 @@ def report(reports_glob, out_path):
     rows = []
     for path in paths:
         obj = serialize.read_json(path)
-        if obj.get("kind") != "evaluation_report":
+        if not isinstance(obj, dict) or obj.get("kind") != "evaluation_report":
             raise FormatError(f"{path} is not an evaluation report")
 
         def pick(block, key):

@@ -256,6 +256,48 @@ def mean_average_precision(
     return float(np.mean(aps))
 
 
+def detection_block(
+    preds_per_frame: Sequence[Sequence[InstanceCandidate]],
+    truths_per_frame: Sequence[Sequence[BinaryMask]],
+    match_iou_threshold: float,
+) -> DetectionBlock | None:
+    """mAP, pooled P/R at one IoU threshold and area ratios over a movie.
+
+    None when there is nothing to score: no predictions and no truths,
+    or predictions but no truths (mAP is undefined).
+    """
+    n_preds = sum(len(p) for p in preds_per_frame)
+    n_truths = sum(len(t) for t in truths_per_frame)
+    if n_truths == 0 and n_preds == 0:
+        return None
+    try:
+        mean_ap = mean_average_precision(preds_per_frame, truths_per_frame)
+    except NoTruthsError:
+        return None
+    n_matched = 0
+    ratios: list[float] = []
+    for preds, truths in zip(preds_per_frame, truths_per_frame):
+        match = match_instances(preds, truths, match_iou_threshold)
+        n_matched += match.n_matched
+        if match.n_matched:
+            ratios.extend(area_ratio_stats(match, preds, truths).ratios)
+    ratio_mean = within = None
+    if ratios:
+        stats = AreaRatioStats(ratios=tuple(ratios))
+        ratio_mean = stats.mean
+        within = stats.fraction_within(AREA_RATIO_EPSILON)
+    return DetectionBlock(
+        precision=n_matched / n_preds if n_preds > 0 else None,
+        recall=n_matched / n_truths if n_truths > 0 else None,
+        mean_ap=mean_ap,
+        n_predictions=n_preds,
+        n_truths=n_truths,
+        n_matched=n_matched,
+        area_ratio_mean=ratio_mean,
+        area_ratio_fraction_within=within,
+    )
+
+
 @dataclass(frozen=True)
 class AreaRatioStats:
     """Predicted/true area ratios over matched pairs."""
@@ -336,3 +378,5 @@ class EvaluationReport:
     stage: StageBlock | None
     cells: DetectionBlock | None
     pronuclei: DetectionBlock | None
+
+

@@ -15,7 +15,7 @@ Ablation flags turn off the ROI (full-frame window), focus averaging
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping
 
 import numpy as np
@@ -26,11 +26,12 @@ from .decoder import argmax_trajectory, decode_monotone, exclude_frames
 from .errors import (
     EmbryoMetricsError,
     BackendError,
+    FormatError,
     FrameMismatchError,
     InvalidConfigError,
     MissingPlanesError,
     NoEmbryoError,
-    NoTruthsError,
+    ValidationError,
 )
 from .gating import (
     GateDecision,
@@ -42,14 +43,12 @@ from .gating import (
 )
 from .geometry import Roi, center_roi, embryo_roi, merge_across_planes
 from .metrics import (
-    DetectionBlock,
     EvaluationReport,
     FragmentationBlock,
     SegmentationBlock,
     StageBlock,
+    detection_block,
     fragmentation_metrics,
-    match_instances,
-    mean_average_precision,
     pixel_accuracy,
     stage_metrics,
 )
@@ -63,6 +62,23 @@ from .model import (
     validate_prob_vector,
 )
 from .synth import GroundTruth
+
+
+def _typed(value: Any, *types: type) -> Any:
+    """``value`` if it is one of the JSON ``types``, else TypeError.
+
+    A bool is accepted only where ``bool`` is listed, although Python
+    counts it as an int.
+    """
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"expected {names}, got {value!r}")
+    return value
+
+
+# JSON types a PipelineConfig field accepts, by its declared type. An int
+# threshold stays an int, so result.json repeats the config as given.
+_CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
 
 
 @dataclass(frozen=True)
@@ -89,21 +105,22 @@ class PipelineConfig:
                 raise InvalidConfigError(f"{name} must be in (0, 1]")
 
     def to_obj(self) -> dict:
-        return {
-            "roi_side": self.roi_side,
-            "fragmentation_threshold": self.fragmentation_threshold,
-            "gate_aggregation": self.gate_aggregation,
-            "merge_iou_threshold": self.merge_iou_threshold,
-            "match_iou_threshold": self.match_iou_threshold,
-            "use_roi": self.use_roi,
-            "use_focus_averaging": self.use_focus_averaging,
-            "use_dp": self.use_dp,
-        }
+        return asdict(self)
 
     @classmethod
     def from_obj(cls, obj: Mapping[str, Any]) -> "PipelineConfig":
-        known = {k: obj[k] for k in cls().to_obj() if k in obj}
-        return cls(**known)
+        """Config from a JSON object; unknown keys and wrong types raise."""
+        if not isinstance(obj, Mapping):
+            raise InvalidConfigError("pipeline config must be a JSON object")
+        declared = {f.name: f.type for f in fields(cls)}
+        for key, value in obj.items():
+            if key not in declared:
+                raise InvalidConfigError(f"unknown pipeline config key {key!r}")
+            try:
+                _typed(value, *_CONFIG_TYPES[declared[key]])
+            except TypeError as e:
+                raise InvalidConfigError(f"pipeline config {key!r}: {e}") from None
+        return cls(**obj)
 
 
 @dataclass(frozen=True)
@@ -214,79 +231,54 @@ def run_pipeline(
         frag_scores, config.fragmentation_threshold, config.gate_aggregation
     )
 
-    if not gate.low_fragmentation:
-        frames = tuple(
-            FrameRecord(
-                time_minutes=movie.frames[i].time_minutes,
-                roi=rois[i],
-                roi_fallback=fallbacks[i],
-                seg_map=seg_maps[i],
-                fragmentation_score=frag_scores[i],
-                stage_probs=None,
-                argmax_class=None,
-                decoded_class=None,
-                excluded=None,
-                cells=None,
-                pronuclei=None,
+    # Gated-out embryos keep only their segmentation and fragmentation.
+    rows = argmaxes = decoded = excluded = [None] * n
+    found: list[dict[Detector, tuple[InstanceCandidate, ...]]] = [{} for _ in range(n)]
+    if gate.low_fragmentation:
+        # (3) stage classification and trajectory decoding. Malformed
+        # vectors count as backend failures, not caller mistakes.
+        rows = [
+            _call(
+                "stage_classification",
+                i,
+                lambda i=i: validate_prob_vector(
+                    backends.stage.probabilities(movie, i, rois[i])
+                ),
             )
             for i in range(n)
-        )
-        return PipelineResult(
-            embryo_id=movie.embryo_id, config=config, gate=gate, frames=frames
-        )
+        ]
+        matrix = StageProbabilityMatrix(rows, movie.times)
+        if config.use_dp:
+            trajectory = decode_monotone(matrix)
+            argmaxes = [f.argmax_class for f in trajectory.frames]
+            decoded = [f.decoded_class for f in trajectory.frames]
+            excluded = [f.excluded for f in trajectory.frames]
+        else:
+            argmaxes = argmax_trajectory(matrix)
+            decoded = list(argmaxes)
+            excluded = exclude_frames(matrix)
 
-    # (3) stage classification and trajectory decoding. Malformed
-    # vectors count as backend failures, not caller mistakes.
-    rows = [
-        _call(
-            "stage_classification",
-            i,
-            lambda i=i: validate_prob_vector(
-                backends.stage.probabilities(movie, i, rois[i])
-            ),
+        # (4) routing and (5) detection with cross-plane merging. Frame
+        # by frame, cells before pronuclei, planes ascending: the first
+        # failing call names the stage in the BackendError.
+        jobs = (
+            (Detector.CELL, "cell_detection", backends.cells),
+            (Detector.PRONUCLEUS, "pronucleus_detection", backends.pronuclei),
         )
-        for i in range(n)
-    ]
-    matrix = StageProbabilityMatrix(rows, movie.times)
-    if config.use_dp:
-        trajectory = decode_monotone(matrix)
-        argmaxes = [f.argmax_class for f in trajectory.frames]
-        decoded = [f.decoded_class for f in trajectory.frames]
-        excluded = [f.excluded for f in trajectory.frames]
-    else:
-        argmaxes = argmax_trajectory(matrix)
-        decoded = list(argmaxes)
-        excluded = exclude_frames(matrix)
-
-    # (4) routing and (5) detection with cross-plane merging.
-    cells: list[tuple[InstanceCandidate, ...] | None] = []
-    pronuclei: list[tuple[InstanceCandidate, ...] | None] = []
-    for i in range(n):
-        detectors = route_frame(decoded[i])
-        frame_cells = None
-        frame_pn = None
-        if Detector.CELL in detectors:
-            _require_planes(movie, i, detect_planes)
-            pooled = [
-                c
-                for p in detect_planes
-                for c in _call("cell_detection", i, backends.cells.detect, movie, i, p, rois[i])
-            ]
-            frame_cells = tuple(
-                merge_across_planes(pooled, config.merge_iou_threshold)
-            )
-        if Detector.PRONUCLEUS in detectors:
-            _require_planes(movie, i, detect_planes)
-            pooled = [
-                c
-                for p in detect_planes
-                for c in _call(
-                    "pronucleus_detection", i, backends.pronuclei.detect, movie, i, p, rois[i]
+        for i in range(n):
+            routed = route_frame(decoded[i])
+            for detector, stage_name, backend in jobs:
+                if detector not in routed:
+                    continue
+                _require_planes(movie, i, detect_planes)
+                pooled = [
+                    c
+                    for p in detect_planes
+                    for c in _call(stage_name, i, backend.detect, movie, i, p, rois[i])
+                ]
+                found[i][detector] = tuple(
+                    merge_across_planes(pooled, config.merge_iou_threshold)
                 )
-            ]
-            frame_pn = tuple(merge_across_planes(pooled, config.merge_iou_threshold))
-        cells.append(frame_cells)
-        pronuclei.append(frame_pn)
 
     frames = tuple(
         FrameRecord(
@@ -299,8 +291,8 @@ def run_pipeline(
             argmax_class=argmaxes[i],
             decoded_class=decoded[i],
             excluded=excluded[i],
-            cells=cells[i],
-            pronuclei=pronuclei[i],
+            cells=found[i].get(Detector.CELL),
+            pronuclei=found[i].get(Detector.PRONUCLEUS),
         )
         for i in range(n)
     )
@@ -370,13 +362,15 @@ def evaluate_run(
             confusion={c: tuple(row) for c, row in confusion.items()},
             n_frames=len(result.frames),
         )
-        cells_block = _detection_block(
-            [f.cells or () for f in result.frames], list(truth.cell_masks), config
+        cells_block = detection_block(
+            [f.cells or () for f in result.frames],
+            list(truth.cell_masks),
+            config.match_iou_threshold,
         )
-        pn_block = _detection_block(
+        pn_block = detection_block(
             [f.pronuclei or () for f in result.frames],
             list(truth.pronucleus_masks),
-            config,
+            config.match_iou_threshold,
         )
 
     return EvaluationReport(
@@ -387,44 +381,6 @@ def evaluate_run(
         stage=stage_block,
         cells=cells_block,
         pronuclei=pn_block,
-    )
-
-
-def _detection_block(preds_per_frame, truths_per_frame, config) -> DetectionBlock | None:
-    n_preds = sum(len(p) for p in preds_per_frame)
-    n_truths = sum(len(t) for t in truths_per_frame)
-    if n_truths == 0 and n_preds == 0:
-        return None
-    try:
-        mean_ap = mean_average_precision(preds_per_frame, truths_per_frame)
-    except NoTruthsError:
-        return None
-    n_matched = 0
-    ratios: list[float] = []
-    for preds, truths in zip(preds_per_frame, truths_per_frame):
-        match = match_instances(preds, truths, config.match_iou_threshold)
-        n_matched += match.n_matched
-        ratios.extend(
-            preds[i].mask.area / truths[j].area for i, j, _ in match.pairs
-        )
-    precision = n_matched / n_preds if n_preds > 0 else None
-    recall = n_matched / n_truths if n_truths > 0 else None
-    if ratios:
-        arr = np.asarray(ratios)
-        ratio_mean = float(arr.mean())
-        within = float((np.abs(arr - 1.0) <= 0.17).mean())
-    else:
-        ratio_mean = None
-        within = None
-    return DetectionBlock(
-        precision=precision,
-        recall=recall,
-        mean_ap=mean_ap,
-        n_predictions=n_preds,
-        n_truths=n_truths,
-        n_matched=n_matched,
-        area_ratio_mean=ratio_mean,
-        area_ratio_fraction_within=within,
     )
 
 
@@ -477,53 +433,61 @@ def result_to_obj(result: PipelineResult) -> dict:
     }
 
 
-def result_from_obj(obj: Mapping) -> PipelineResult:
-    from .errors import FormatError
-
-    if obj.get("kind") != "pipeline_result" or obj.get("format_version") != serialize.FORMAT_VERSION:
+def result_from_obj(obj: Any) -> PipelineResult:
+    """Decode a pipeline_result object; a missing or wrong-typed key is a FormatError."""
+    if (
+        not isinstance(obj, Mapping)
+        or obj.get("kind") != "pipeline_result"
+        or obj.get("format_version") != serialize.FORMAT_VERSION
+    ):
         raise FormatError("not a pipeline_result file")
-    config = PipelineConfig.from_obj(obj["config"])
-    gate = GateDecision(
-        embryo_score=FragmentationScore(obj["gate"]["embryo_score"]),
-        low_fragmentation=bool(obj["gate"]["low_fragmentation"]),
-        threshold=float(obj["gate"]["threshold"]),
-    )
-    frames = []
-    for f in obj["frames"]:
-        roi = Roi(
-            x=f["roi"]["x"],
-            y=f["roi"]["y"],
-            side=f["roi"]["side"],
-            center=tuple(f["roi"]["center"]),
+    try:
+        config = PipelineConfig.from_obj(obj["config"])
+        gate = GateDecision(
+            embryo_score=FragmentationScore(_typed(obj["gate"]["embryo_score"], int, float)),
+            low_fragmentation=_typed(obj["gate"]["low_fragmentation"], bool),
+            threshold=float(_typed(obj["gate"]["threshold"], int, float)),
         )
-        frames.append(
-            FrameRecord(
-                time_minutes=float(f["t"]),
-                roi=roi,
-                roi_fallback=bool(f["roi"]["fallback"]),
-                seg_map=serialize.seg_map_from_obj(f["seg_map"]),
-                fragmentation_score=FragmentationScore(f["fragmentation_score"]),
-                stage_probs=None
-                if f["stage_probs"] is None
-                else np.asarray(f["stage_probs"], dtype=np.float64),
-                argmax_class=None
-                if f["argmax_class"] is None
-                else StageClass.from_token(f["argmax_class"]),
-                decoded_class=None
-                if f["decoded_class"] is None
-                else StageClass.from_token(f["decoded_class"]),
-                excluded=f["excluded"],
-                cells=None
-                if f["cells"] is None
-                else tuple(serialize.candidate_from_obj(c) for c in f["cells"]),
-                pronuclei=None
-                if f["pronuclei"] is None
-                else tuple(serialize.candidate_from_obj(c) for c in f["pronuclei"]),
+        frames = []
+        for f in _typed(obj["frames"], list):
+            roi = Roi(
+                x=_typed(f["roi"]["x"], int),
+                y=_typed(f["roi"]["y"], int),
+                side=_typed(f["roi"]["side"], int),
+                center=tuple(f["roi"]["center"]),
             )
-        )
+            frames.append(
+                FrameRecord(
+                    time_minutes=float(_typed(f["t"], int, float)),
+                    roi=roi,
+                    roi_fallback=_typed(f["roi"]["fallback"], bool),
+                    seg_map=serialize.seg_map_from_obj(f["seg_map"]),
+                    fragmentation_score=FragmentationScore(
+                        _typed(f["fragmentation_score"], int, float)
+                    ),
+                    stage_probs=None
+                    if f["stage_probs"] is None
+                    else np.asarray(_typed(f["stage_probs"], list), dtype=np.float64),
+                    argmax_class=None
+                    if f["argmax_class"] is None
+                    else StageClass.from_token(f["argmax_class"]),
+                    decoded_class=None
+                    if f["decoded_class"] is None
+                    else StageClass.from_token(f["decoded_class"]),
+                    excluded=_typed(f["excluded"], bool, type(None)),
+                    cells=None
+                    if f["cells"] is None
+                    else tuple(serialize.candidate_from_obj(c) for c in f["cells"]),
+                    pronuclei=None
+                    if f["pronuclei"] is None
+                    else tuple(serialize.candidate_from_obj(c) for c in f["pronuclei"]),
+                )
+            )
+        embryo_id = _typed(obj["embryo_id"], str)
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"bad pipeline_result object: {e!r}") from None
     return PipelineResult(
-        embryo_id=str(obj["embryo_id"]),
-        config=config,
-        gate=gate,
-        frames=tuple(frames),
+        embryo_id=embryo_id, config=config, gate=gate, frames=tuple(frames)
     )

@@ -67,7 +67,10 @@ def write_json(path: Path | str, obj: Any) -> None:
 
 
 def read_json(path: Path | str) -> Any:
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
 
 
 def write_ndjson(
@@ -82,10 +85,14 @@ def write_ndjson(
 def read_ndjson(path: Path | str, kind: str) -> list[dict]:
     rows = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 rows.append(json.loads(line))
+            except json.JSONDecodeError as e:
+                raise FormatError(f"{path}: invalid JSON at line {lineno}: {e.msg}") from None
     if not rows:
         raise FormatError(f"{path} is empty (missing header line)")
     _check_kind(rows[0], kind)
