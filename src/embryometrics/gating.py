@@ -44,11 +44,14 @@ class GateDecision:
 def average_fragmentation(
     plane_scores: Sequence[FragmentationScore],
 ) -> FragmentationScore:
-    """Mean of the three middle-plane scores, clamped to [0, 3]."""
+    """Mean of the three middle-plane scores.
+
+    Each score lies in [0, 3] and float rounding is monotone, so the
+    mean does too.
+    """
     if len(plane_scores) != 3:
         raise WrongArityError(f"expected 3 plane scores, got {len(plane_scores)}")
-    mean = sum(s.value for s in plane_scores) / 3.0
-    return FragmentationScore(min(3.0, max(0.0, mean)))
+    return FragmentationScore(sum(s.value for s in plane_scores) / 3.0)
 
 
 def middle_planes(plane_count: int = 7) -> tuple[int, int, int]:

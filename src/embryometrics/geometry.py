@@ -118,6 +118,34 @@ def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
     return inter / union
 
 
+def iou_matrix(a: Sequence[BinaryMask], b: Sequence[BinaryMask]) -> np.ndarray:
+    """(len(a), len(b)) mask IoU matrix, equal pair by pair to :func:`mask_iou`.
+
+    A pair's intersection lies inside both tight bounding boxes, so pixels
+    are counted only where the boxes overlap. IoU is the exact integer
+    intersection over the union, as in the dense reference.
+    """
+    if not a or not b:
+        return np.zeros((len(a), len(b)))
+    dims = {(m.width, m.height) for m in (*a, *b)}
+    if len(dims) > 1:
+        raise ShapeMismatchError(f"masks have mixed dimensions: {dims}")
+
+    def boxed(masks):
+        return [(m.tight_bbox() if m.area else (0, 0, 0, 0), m.to_array()) for m in masks]
+
+    inter = np.zeros((len(a), len(b)), dtype=np.int64)
+    boxed_b = boxed(b)
+    for i, ((ax, ay, aw, ah), pa) in enumerate(boxed_b if a is b else boxed(a)):
+        for j, ((bx, by, bw, bh), pb) in enumerate(boxed_b):
+            y0, y1 = max(ay, by), min(ay + ah, by + bh)
+            x0, x1 = max(ax, bx), min(ax + aw, bx + bw)
+            if y0 < y1 and x0 < x1:
+                inter[i, j] = np.count_nonzero(pa[y0:y1, x0:x1] & pb[y0:y1, x0:x1])
+    union = np.array([[m.area] for m in a]) + np.array([m.area for m in b]) - inter
+    return np.divide(inter, union, out=np.zeros(union.shape), where=union > 0)
+
+
 def merge_across_planes(
     candidates: Sequence[InstanceCandidate],
     iou_threshold: float = DEFAULT_MERGE_IOU,
@@ -136,28 +164,19 @@ def merge_across_planes(
     kinds = {c.kind for c in candidates}
     if len(kinds) > 1:
         raise MixedKindsError("cannot merge cell and pronucleus candidates together")
-    dims = {(c.mask.width, c.mask.height) for c in candidates}
-    if len(dims) > 1:
-        raise ShapeMismatchError(f"candidate masks have mixed dimensions: {dims}")
 
     order = sorted(
         candidates, key=lambda c: (-c.confidence, c.plane, c.bbox[0])
     )
-    arrays = [c.mask.to_array() for c in order]
-    areas = [int(a.sum()) for a in arrays]
-    suppressed = [False] * len(order)
+    masks = [c.mask for c in order]
+    overlapping = iou_matrix(masks, masks) >= iou_threshold
+    suppressed = np.zeros(len(order), dtype=bool)
     survivors: list[InstanceCandidate] = []
     for i, cand in enumerate(order):
         if suppressed[i]:
             continue
         survivors.append(cand)
-        for j in range(i + 1, len(order)):
-            if suppressed[j]:
-                continue
-            inter = int(np.logical_and(arrays[i], arrays[j]).sum())
-            union = areas[i] + areas[j] - inter
-            if union > 0 and inter / union >= iou_threshold:
-                suppressed[j] = True
+        suppressed[i + 1 :] |= overlapping[i, i + 1 :]
     return survivors
 
 

@@ -23,6 +23,7 @@ from .errors import (
     NoTruthsError,
     ShapeMismatchError,
 )
+from .geometry import iou_matrix
 from .model import (
     BinaryMask,
     InstanceCandidate,
@@ -122,28 +123,6 @@ def stage_metrics(
     return accuracy, confusion
 
 
-def _iou_matrix(
-    preds: Sequence[InstanceCandidate], truths: Sequence[BinaryMask]
-) -> np.ndarray:
-    """(n_preds, n_truths) mask IoU matrix."""
-    if not preds or not truths:
-        return np.zeros((len(preds), len(truths)))
-    dims = {(m.width, m.height) for m in truths} | {
-        (c.mask.width, c.mask.height) for c in preds
-    }
-    if len(dims) > 1:
-        raise ShapeMismatchError(f"masks have mixed dimensions: {dims}")
-    pred_arrays = np.stack([c.mask.to_array().ravel() for c in preds])
-    truth_arrays = np.stack([m.to_array().ravel() for m in truths])
-    inter = pred_arrays.astype(np.int64) @ truth_arrays.T.astype(np.int64)
-    pred_areas = pred_arrays.sum(axis=1)[:, None]
-    truth_areas = truth_arrays.sum(axis=1)[None, :]
-    union = pred_areas + truth_areas - inter
-    with np.errstate(invalid="ignore"):
-        iou = np.where(union > 0, inter / union, 0.0)
-    return iou
-
-
 def _greedy_assign(
     iou: np.ndarray, confidences: Sequence[float], threshold: float
 ) -> list[int]:
@@ -174,7 +153,7 @@ def match_instances(
     iou_threshold: float = DEFAULT_MATCH_IOU,
 ) -> MatchResult:
     """Greedily match predictions to ground-truth masks, one-to-one."""
-    iou = _iou_matrix(preds, truths)
+    iou = iou_matrix([c.mask for c in preds], truths)
     assigned = _greedy_assign(iou, [c.confidence for c in preds], iou_threshold)
     pairs = tuple(
         (i, j, float(iou[i, j])) for i, j in enumerate(assigned) if j >= 0
@@ -218,30 +197,45 @@ def _average_precision(flags: np.ndarray, n_truths: int) -> float:
     return float(ap)
 
 
+def _average_precisions(
+    preds_per_image: Sequence[Sequence[InstanceCandidate]],
+    truths_per_image: Sequence[Sequence[BinaryMask]],
+    iou_thresholds: Sequence[float],
+) -> list[float]:
+    """AP at each threshold, from one IoU matrix per image."""
+    if len(preds_per_image) != len(truths_per_image):
+        raise LengthMismatchError(
+            f"{len(preds_per_image)} prediction lists vs "
+            f"{len(truths_per_image)} truth lists"
+        )
+    n_truths = sum(len(truths) for truths in truths_per_image)
+    if n_truths == 0:
+        raise NoTruthsError("no ground-truth instances in the evaluation set")
+    confidences = [[c.confidence for c in preds] for preds in preds_per_image]
+    ious = [
+        iou_matrix([c.mask for c in preds], truths)
+        for preds, truths in zip(preds_per_image, truths_per_image)
+    ]
+    pooled = np.asarray([c for image in confidences for c in image], dtype=np.float64)
+    order = np.argsort(-pooled, kind="stable")
+    aps = []
+    for threshold in iou_thresholds:
+        flags = [
+            j >= 0
+            for iou, image in zip(ious, confidences)
+            for j in _greedy_assign(iou, image, threshold)
+        ]
+        aps.append(_average_precision(np.asarray(flags)[order], n_truths))
+    return aps
+
+
 def average_precision_at(
     preds_per_image: Sequence[Sequence[InstanceCandidate]],
     truths_per_image: Sequence[Sequence[BinaryMask]],
     iou_threshold: float,
 ) -> float:
     """AP at one IoU threshold, pooling predictions across images."""
-    if len(preds_per_image) != len(truths_per_image):
-        raise LengthMismatchError(
-            f"{len(preds_per_image)} prediction lists vs "
-            f"{len(truths_per_image)} truth lists"
-        )
-    confidences: list[float] = []
-    flags: list[bool] = []
-    n_truths = 0
-    for preds, truths in zip(preds_per_image, truths_per_image):
-        n_truths += len(truths)
-        matched = {i for i, _, _ in match_instances(preds, truths, iou_threshold).pairs}
-        for i, c in enumerate(preds):
-            confidences.append(c.confidence)
-            flags.append(i in matched)
-    if n_truths == 0:
-        raise NoTruthsError("no ground-truth instances in the evaluation set")
-    order = np.argsort(-np.asarray(confidences, dtype=np.float64), kind="stable")
-    return _average_precision(np.asarray(flags)[order], n_truths)
+    return _average_precisions(preds_per_image, truths_per_image, [iou_threshold])[0]
 
 
 def mean_average_precision(
@@ -249,10 +243,7 @@ def mean_average_precision(
     truths_per_image: Sequence[Sequence[BinaryMask]],
 ) -> float:
     """Mean AP over IoU thresholds 0.50, 0.55, ..., 0.95."""
-    aps = [
-        average_precision_at(preds_per_image, truths_per_image, t)
-        for t in MAP_IOU_THRESHOLDS
-    ]
+    aps = _average_precisions(preds_per_image, truths_per_image, MAP_IOU_THRESHOLDS)
     return float(np.mean(aps))
 
 

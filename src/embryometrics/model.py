@@ -259,6 +259,12 @@ class SegmentationMap:
         return int(self.labels.shape[0])
 
 
+def run_lengths(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and length of each maximal run of equal values in a 1-D array."""
+    starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+    return flat[starts], np.diff(np.append(starts, flat.size))
+
+
 @dataclass(frozen=True)
 class BinaryMask:
     """A binary mask stored as row-major run-length encoding.
@@ -297,25 +303,17 @@ class BinaryMask:
         a = np.asarray(arr)
         if a.ndim != 2 or a.size == 0:
             raise ValidationError("mask must be a non-empty 2-D grid")
-        flat = (a != 0).ravel()
-        # Boundaries where the pixel value changes, plus both ends.
-        changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-        bounds = np.concatenate(([0], changes, [flat.size]))
-        runs = np.diff(bounds).tolist()
-        if flat[0]:
+        values, counts = run_lengths((a != 0).ravel())
+        runs = counts.tolist()
+        if values[0]:
             runs = [0] + runs
         return cls(width=int(a.shape[1]), height=int(a.shape[0]), runs=tuple(runs))
 
     def to_array(self) -> np.ndarray:
         """Decode to a (height, width) boolean array."""
-        flat = np.zeros(self.width * self.height, dtype=bool)
-        pos = 0
-        fg = False
-        for run in self.runs:
-            if fg:
-                flat[pos : pos + run] = True
-            pos += run
-            fg = not fg
+        # Odd-indexed runs are foreground.
+        foreground = np.arange(len(self.runs)) % 2 == 1
+        flat = np.repeat(foreground, self.runs)
         return flat.reshape(self.height, self.width)
 
     @property

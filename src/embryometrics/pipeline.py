@@ -61,19 +61,8 @@ from .model import (
     StageProbabilityMatrix,
     validate_prob_vector,
 )
+from .serialize import _typed
 from .synth import GroundTruth
-
-
-def _typed(value: Any, *types: type) -> Any:
-    """``value`` if it is one of the JSON ``types``, else TypeError.
-
-    A bool is accepted only where ``bool`` is listed, although Python
-    counts it as an int.
-    """
-    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-        names = " or ".join(t.__name__ for t in types)
-        raise TypeError(f"expected {names}, got {value!r}")
-    return value
 
 
 # JSON types a PipelineConfig field accepts, by its declared type. An int

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InvalidConfigError
 from .metrics import (
     DetectionBlock,
     EvaluationReport,
@@ -34,6 +35,7 @@ from .model import (
     SegClass,
     SegmentationMap,
     StageClass,
+    run_lengths,
 )
 from .synth import Circle, GroundTruth, NoiseConfig, RenderedOutputs, SynthConfig
 
@@ -56,6 +58,18 @@ BACKEND_FILES = {
 
 # Every NDJSON file starts with one header line carrying the version.
 _NDJSON_HEADER_KINDS = {key: f"backend_{key}" for key in BACKEND_FILES}
+
+
+def _typed(value: Any, *types: type) -> Any:
+    """``value`` if it is one of the JSON ``types``, else TypeError.
+
+    A bool is accepted only where ``bool`` is listed, although Python
+    counts it as an int.
+    """
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"expected {names}, got {value!r}")
+    return value
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -82,7 +96,8 @@ def write_ndjson(
             f.write(canonical_dumps(row) + "\n")
 
 
-def read_ndjson(path: Path | str, kind: str) -> list[dict]:
+def read_ndjson(path: Path | str, kind: str) -> list[tuple[int, Any]]:
+    """The data rows after the header line, each with its line number."""
     rows = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -90,12 +105,12 @@ def read_ndjson(path: Path | str, kind: str) -> list[dict]:
             if not line:
                 continue
             try:
-                rows.append(json.loads(line))
+                rows.append((lineno, json.loads(line)))
             except json.JSONDecodeError as e:
                 raise FormatError(f"{path}: invalid JSON at line {lineno}: {e.msg}") from None
     if not rows:
         raise FormatError(f"{path} is empty (missing header line)")
-    _check_kind(rows[0], kind)
+    _check_kind(rows[0][1], kind)
     return rows[1:]
 
 
@@ -128,12 +143,8 @@ def mask_from_obj(obj: Mapping) -> BinaryMask:
 
 
 def seg_map_to_obj(seg: SegmentationMap) -> dict:
-    flat = seg.labels.ravel()
-    changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate(([0], changes, [flat.size]))
-    runs = [
-        [int(flat[b]), int(e - b)] for b, e in zip(bounds[:-1], bounds[1:])
-    ]
+    values, counts = run_lengths(seg.labels.ravel())
+    runs = np.column_stack((values, counts)).tolist()
     return {"w": seg.width, "h": seg.height, "runs": runs}
 
 
@@ -165,8 +176,8 @@ def candidate_from_obj(obj: Mapping) -> InstanceCandidate:
         return InstanceCandidate(
             mask=mask_from_obj(obj["mask"]),
             bbox=tuple(obj["bbox"]),
-            confidence=float(obj["confidence"]),
-            plane=int(obj["plane"]),
+            confidence=float(_typed(obj["confidence"], int, float)),
+            plane=_typed(obj["plane"], int),
             kind=CandidateKind.from_token(obj["kind"]),
         )
     except KeyError as e:
@@ -289,20 +300,71 @@ def synth_config_to_obj(config: SynthConfig) -> dict:
     }
 
 
+# JSON types of the keys a synth config object must have, and no others.
+_NUMBER = (int, float)
+_SYNTH_CONFIG_TYPES = {
+    "format_version": (int,),
+    "kind": (str,),
+    "seed": (int,),
+    "embryo_id": (str,),
+    "frames": (int,),
+    "image_size": (int,),
+    "plane_count": (int,),
+    "frame_interval_minutes": _NUMBER,
+    "dwell_ranges": (list,),
+    "fragmentation_distribution": (list,),
+    "pronucleus_distribution": (list,),
+    "noise": (dict,),
+}
+_NOISE_CONFIG_TYPES = {f.name: _NUMBER for f in fields(NoiseConfig)}
+
+
+def _check_keys(obj: Mapping, types: Mapping[str, tuple], what: str) -> None:
+    """InvalidConfigError unless ``obj`` has exactly the keys of ``types``,
+    each holding a value of one of its JSON types."""
+    for key in obj:
+        if key not in types:
+            raise InvalidConfigError(f"unknown {what} key {key!r}")
+    for key, allowed in types.items():
+        if key not in obj:
+            raise InvalidConfigError(f"{what} is missing key {key!r}")
+        try:
+            _typed(obj[key], *allowed)
+        except TypeError as e:
+            raise InvalidConfigError(f"{what} {key!r}: {e}") from None
+
+
+def _dwell_range(value: Any) -> tuple[int, int]:
+    if len(_typed(value, list)) != 2:
+        raise TypeError(f"expected a [lo, hi] pair, got {value!r}")
+    return _typed(value[0], int), _typed(value[1], int)
+
+
 def synth_config_from_obj(obj: Mapping) -> SynthConfig:
+    """Decode a synth_config object; an unknown or missing key or a value
+    of the wrong JSON type raises InvalidConfigError."""
     _check_kind(obj, "synth_config")
-    noise = obj.get("noise", {})
+    _check_keys(obj, _SYNTH_CONFIG_TYPES, "synth config")
+    _check_keys(obj["noise"], _NOISE_CONFIG_TYPES, "synth config noise")
+    try:
+        dwell_ranges = tuple(_dwell_range(r) for r in obj["dwell_ranges"])
+        fragmentation = tuple(
+            _typed(p, *_NUMBER) for p in obj["fragmentation_distribution"]
+        )
+        pronucleus = tuple(_typed(p, *_NUMBER) for p in obj["pronucleus_distribution"])
+    except TypeError as e:
+        raise InvalidConfigError(f"synth config: {e}") from None
     return SynthConfig(
-        seed=int(obj["seed"]),
-        embryo_id=str(obj["embryo_id"]),
-        frames=int(obj["frames"]),
-        image_size=int(obj["image_size"]),
-        plane_count=int(obj["plane_count"]),
+        seed=obj["seed"],
+        embryo_id=obj["embryo_id"],
+        frames=obj["frames"],
+        image_size=obj["image_size"],
+        plane_count=obj["plane_count"],
         frame_interval_minutes=float(obj["frame_interval_minutes"]),
-        dwell_ranges=tuple(tuple(r) for r in obj["dwell_ranges"]),
-        fragmentation_distribution=tuple(obj["fragmentation_distribution"]),
-        pronucleus_distribution=tuple(obj["pronucleus_distribution"]),
-        noise=NoiseConfig(**noise),
+        dwell_ranges=dwell_ranges,
+        fragmentation_distribution=fragmentation,
+        pronucleus_distribution=pronucleus,
+        noise=NoiseConfig(**obj["noise"]),
     )
 
 
@@ -365,27 +427,39 @@ def read_backend_tables(backend_dir: Path | str) -> dict:
     tables by (frame, plane) with missing keys meaning no detections.
     """
     d = Path(backend_dir)
-    seg = {}
-    for row in read_ndjson(
-        d / BACKEND_FILES["segmentation"], _NDJSON_HEADER_KINDS["segmentation"]
-    ):
-        seg[(int(row["frame"]), int(row["plane"]))] = seg_map_from_obj(row["map"])
-    frag = {}
-    for row in read_ndjson(
-        d / BACKEND_FILES["fragmentation"], _NDJSON_HEADER_KINDS["fragmentation"]
-    ):
-        frag[(int(row["frame"]), int(row["plane"]))] = float(row["score"])
-    stage = {}
-    for i, row in enumerate(
-        read_ndjson(d / BACKEND_FILES["stage_probs"], _NDJSON_HEADER_KINDS["stage_probs"])
-    ):
-        stage[i] = np.asarray(row["p"], dtype=np.float64)
-    tables = {"seg": seg, "frag": frag, "stage": stage}
+
+    def decoded(key: str, decode) -> list:
+        """``decode`` of each data row in one file; a row that fails to
+        decode is a FormatError naming the file and the line."""
+        path = d / BACKEND_FILES[key]
+        out = []
+        for lineno, row in read_ndjson(path, _NDJSON_HEADER_KINDS[key]):
+            try:
+                out.append(decode(row))
+            except (KeyError, TypeError, ValueError) as e:
+                raise FormatError(
+                    f"{path}: bad row at line {lineno}: {type(e).__name__}: {e}"
+                ) from None
+        return out
+
+    def frame_plane(row: Mapping) -> tuple[int, int]:
+        return _typed(row["frame"], int), _typed(row["plane"], int)
+
+    seg = decoded(
+        "segmentation", lambda r: (frame_plane(r), seg_map_from_obj(r["map"]))
+    )
+    frag = decoded(
+        "fragmentation",
+        lambda r: (frame_plane(r), float(_typed(r["score"], int, float))),
+    )
+    stage = decoded(
+        "stage_probs", lambda r: np.asarray(_typed(r["p"], list), dtype=np.float64)
+    )
+    tables = {"seg": dict(seg), "frag": dict(frag), "stage": dict(enumerate(stage))}
     for key in ("cells", "pronuclei"):
         table: dict = {}
-        for row in read_ndjson(d / BACKEND_FILES[key], _NDJSON_HEADER_KINDS[key]):
-            k = (int(row["frame"]), int(row["plane"]))
-            table.setdefault(k, []).append(candidate_from_obj(row))
+        for k, cand in decoded(key, lambda r: (frame_plane(r), candidate_from_obj(r))):
+            table.setdefault(k, []).append(cand)
         tables[key] = {k: tuple(v) for k, v in table.items()}
     return tables
 

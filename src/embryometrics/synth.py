@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import InvalidConfigError
 from .gating import middle_planes
+from .geometry import iou_matrix
 from .model import (
     BinaryMask,
     CandidateKind,
@@ -373,8 +374,6 @@ def _noisy_candidates(
     noise: NoiseConfig,
 ) -> dict[int, tuple[InstanceCandidate, ...]]:
     per_plane: dict[int, tuple[InstanceCandidate, ...]] = {}
-    truth_arrays = [m.to_array() for m in truth_masks]
-    truth_areas = [int(a.sum()) for a in truth_arrays]
     for plane in planes:
         cands = []
         for k, (cx, cy, r) in enumerate(circles):
@@ -385,19 +384,12 @@ def _noisy_candidates(
             r = max(r, MIN_MASK_RADIUS)
             cx = float(np.clip(cx, r + 1.0, size - 2.0 - r))
             cy = float(np.clip(cy, r + 1.0, size - 2.0 - r))
-            arr = _disk(size, cx, cy, r)
-            inter = int(np.logical_and(arr, truth_arrays[k]).sum())
-            union = int(arr.sum()) + truth_areas[k] - inter
-            iou = inter / union if union > 0 else 0.0
-            confidence = iou
+            mask = BinaryMask.from_array(_disk(size, cx, cy, r))
+            confidence = float(iou_matrix([mask], [truth_masks[k]])[0, 0])
             if noise.confidence_sigma > 0:
                 confidence += float(rng.normal(0.0, noise.confidence_sigma))
             confidence = float(np.clip(confidence, 0.0, 1.0))
-            cands.append(
-                InstanceCandidate.from_mask(
-                    BinaryMask.from_array(arr), confidence, plane, kind
-                )
-            )
+            cands.append(InstanceCandidate.from_mask(mask, confidence, plane, kind))
         per_plane[plane] = tuple(cands)
     return per_plane
 
