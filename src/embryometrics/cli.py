@@ -79,6 +79,8 @@ def synth(config_path, out_dir, embryos, seed, jobs):
         raise ValidationError("--embryos must be >= 1")
     if jobs < 1:
         raise ValidationError("--jobs must be >= 1")
+    if seed < 0:
+        raise ValidationError("--seed must be >= 0")
     base = _load_synth_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -170,26 +172,25 @@ def report(reports_glob, out_path):
     paths = sorted(globlib.glob(reports_glob))
     if not paths:
         raise ValidationError(f"no reports match {reports_glob!r}")
+
+    def pick(block, key):
+        value = None if block is None else getattr(block, key)
+        return "" if value is None else f"{value:.6f}"
+
     rows = []
     for path in paths:
-        obj = serialize.read_json(path)
-        if not isinstance(obj, dict) or obj.get("kind") != "evaluation_report":
-            raise FormatError(f"{path} is not an evaluation report")
-
-        def pick(block, key):
-            data = obj.get(block)
-            if data is None or data.get(key) is None:
-                return ""
-            return f"{data[key]:.6f}"
-
+        try:
+            r = serialize.report_from_obj(serialize.read_json(path))
+        except ValidationError as e:
+            raise FormatError(f"{path}: {e}") from None
         rows.append(
             [
                 Path(path).stem,
-                obj["embryo_id"],
-                pick("fragmentation", "agreement"),
-                pick("stage", "accuracy"),
-                pick("cells", "mean_ap"),
-                pick("pronuclei", "mean_ap"),
+                r.embryo_id,
+                pick(r.fragmentation, "agreement"),
+                pick(r.stage, "accuracy"),
+                pick(r.cells, "mean_ap"),
+                pick(r.pronuclei, "mean_ap"),
             ]
         )
     with open(out_path, "w", newline="") as f:

@@ -322,17 +322,25 @@ class BinaryMask:
         return int(sum(self.runs[1::2]))
 
     def tight_bbox(self) -> tuple[int, int, int, int]:
-        """Tight (x, y, w, h) bounding box of the foreground.
+        """Tight (x, y, w, h) bounding box of the foreground, read off the
+        runs without decoding the grid.
 
         Raises ValidationError on an empty mask.
         """
-        arr = self.to_array()
-        rows = np.flatnonzero(arr.any(axis=1))
-        cols = np.flatnonzero(arr.any(axis=0))
-        if rows.size == 0:
+        runs = np.asarray(self.runs)
+        ends = np.cumsum(runs)
+        # First and last flat pixel index of each foreground run.
+        first = (ends - runs)[1::2]
+        last = ends[1::2] - 1
+        if first.size == 0:
             raise ValidationError("empty mask has no bounding box")
-        y0, y1 = int(rows[0]), int(rows[-1])
-        x0, x1 = int(cols[0]), int(cols[-1])
+        w = self.width
+        y0, y1 = int(first[0]) // w, int(last[-1]) // w
+        if np.any(first // w != last // w):
+            # A run across a row break covers the last and the first column.
+            x0, x1 = 0, w - 1
+        else:
+            x0, x1 = int((first % w).min()), int((last % w).max())
         return (x0, y0, x1 - x0 + 1, y1 - y0 + 1)
 
 
@@ -354,10 +362,9 @@ class InstanceCandidate:
         if not 0 <= self.plane <= 6:
             raise ValidationError(f"plane index {self.plane} outside 0..6")
         bbox = tuple(int(v) for v in self.bbox)
-        if bbox != self.mask.tight_bbox():
-            raise ValidationError(
-                f"bbox {bbox} is not the tight bounding box {self.mask.tight_bbox()}"
-            )
+        tight = self.mask.tight_bbox()
+        if bbox != tight:
+            raise ValidationError(f"bbox {bbox} is not the tight bounding box {tight}")
         object.__setattr__(self, "bbox", bbox)
         object.__setattr__(self, "confidence", float(self.confidence))
         object.__setattr__(self, "plane", int(self.plane))

@@ -15,7 +15,7 @@ Ablation flags turn off the ROI (full-frame window), focus averaging
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
 import numpy as np
@@ -26,12 +26,10 @@ from .decoder import argmax_trajectory, decode_monotone, exclude_frames
 from .errors import (
     EmbryoMetricsError,
     BackendError,
-    FormatError,
     FrameMismatchError,
     InvalidConfigError,
     MissingPlanesError,
     NoEmbryoError,
-    ValidationError,
 )
 from .gating import (
     GateDecision,
@@ -61,13 +59,8 @@ from .model import (
     StageProbabilityMatrix,
     validate_prob_vector,
 )
-from .serialize import _typed
+from .serialize import _check_kind, _decoder, _record, _typed
 from .synth import GroundTruth
-
-
-# JSON types a PipelineConfig field accepts, by its declared type. An int
-# threshold stays an int, so result.json repeats the config as given.
-_CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
 
 
 @dataclass(frozen=True)
@@ -97,19 +90,11 @@ class PipelineConfig:
         return asdict(self)
 
     @classmethod
+    @_decoder("pipeline config", InvalidConfigError)
     def from_obj(cls, obj: Mapping[str, Any]) -> "PipelineConfig":
-        """Config from a JSON object; unknown keys and wrong types raise."""
-        if not isinstance(obj, Mapping):
-            raise InvalidConfigError("pipeline config must be a JSON object")
-        declared = {f.name: f.type for f in fields(cls)}
-        for key, value in obj.items():
-            if key not in declared:
-                raise InvalidConfigError(f"unknown pipeline config key {key!r}")
-            try:
-                _typed(value, *_CONFIG_TYPES[declared[key]])
-            except TypeError as e:
-                raise InvalidConfigError(f"pipeline config {key!r}: {e}") from None
-        return cls(**obj)
+        """Config from a JSON object; unknown keys and wrong types raise,
+        missing keys take their defaults."""
+        return _record(cls, obj, partial=True)
 
 
 @dataclass(frozen=True)
@@ -422,61 +407,56 @@ def result_to_obj(result: PipelineResult) -> dict:
     }
 
 
+@_decoder("pipeline result")
 def result_from_obj(obj: Any) -> PipelineResult:
     """Decode a pipeline_result object; a missing or wrong-typed key is a FormatError."""
-    if (
-        not isinstance(obj, Mapping)
-        or obj.get("kind") != "pipeline_result"
-        or obj.get("format_version") != serialize.FORMAT_VERSION
-    ):
-        raise FormatError("not a pipeline_result file")
-    try:
-        config = PipelineConfig.from_obj(obj["config"])
-        gate = GateDecision(
-            embryo_score=FragmentationScore(_typed(obj["gate"]["embryo_score"], int, float)),
-            low_fragmentation=_typed(obj["gate"]["low_fragmentation"], bool),
-            threshold=float(_typed(obj["gate"]["threshold"], int, float)),
+    _check_kind(obj, "pipeline_result")
+    config = PipelineConfig.from_obj(obj["config"])
+    gate = _record(
+        GateDecision,
+        obj["gate"],
+        embryo_score=FragmentationScore(_typed(obj["gate"]["embryo_score"], int, float)),
+    )
+    frames = []
+    for f in _typed(obj["frames"], list):
+        roi = Roi(
+            x=_typed(f["roi"]["x"], int),
+            y=_typed(f["roi"]["y"], int),
+            side=_typed(f["roi"]["side"], int),
+            center=tuple(f["roi"]["center"]),
         )
-        frames = []
-        for f in _typed(obj["frames"], list):
-            roi = Roi(
-                x=_typed(f["roi"]["x"], int),
-                y=_typed(f["roi"]["y"], int),
-                side=_typed(f["roi"]["side"], int),
-                center=tuple(f["roi"]["center"]),
+        frames.append(
+            FrameRecord(
+                time_minutes=float(_typed(f["t"], int, float)),
+                roi=roi,
+                roi_fallback=_typed(f["roi"]["fallback"], bool),
+                seg_map=serialize.seg_map_from_obj(f["seg_map"]),
+                fragmentation_score=FragmentationScore(
+                    _typed(f["fragmentation_score"], int, float)
+                ),
+                stage_probs=None
+                if f["stage_probs"] is None
+                else np.asarray(_typed(f["stage_probs"], list), dtype=np.float64),
+                argmax_class=None
+                if f["argmax_class"] is None
+                else StageClass.from_token(f["argmax_class"]),
+                decoded_class=None
+                if f["decoded_class"] is None
+                else StageClass.from_token(f["decoded_class"]),
+                excluded=_typed(f["excluded"], bool, type(None)),
+                cells=None
+                if f["cells"] is None
+                else tuple(serialize.candidate_from_obj(c) for c in f["cells"]),
+                pronuclei=None
+                if f["pronuclei"] is None
+                else tuple(serialize.candidate_from_obj(c) for c in f["pronuclei"]),
             )
-            frames.append(
-                FrameRecord(
-                    time_minutes=float(_typed(f["t"], int, float)),
-                    roi=roi,
-                    roi_fallback=_typed(f["roi"]["fallback"], bool),
-                    seg_map=serialize.seg_map_from_obj(f["seg_map"]),
-                    fragmentation_score=FragmentationScore(
-                        _typed(f["fragmentation_score"], int, float)
-                    ),
-                    stage_probs=None
-                    if f["stage_probs"] is None
-                    else np.asarray(_typed(f["stage_probs"], list), dtype=np.float64),
-                    argmax_class=None
-                    if f["argmax_class"] is None
-                    else StageClass.from_token(f["argmax_class"]),
-                    decoded_class=None
-                    if f["decoded_class"] is None
-                    else StageClass.from_token(f["decoded_class"]),
-                    excluded=_typed(f["excluded"], bool, type(None)),
-                    cells=None
-                    if f["cells"] is None
-                    else tuple(serialize.candidate_from_obj(c) for c in f["cells"]),
-                    pronuclei=None
-                    if f["pronuclei"] is None
-                    else tuple(serialize.candidate_from_obj(c) for c in f["pronuclei"]),
-                )
-            )
-        embryo_id = _typed(obj["embryo_id"], str)
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"bad pipeline_result object: {e!r}") from None
+        )
+    if any((f.decoded_class is None) == gate.low_fragmentation for f in frames):
+        raise ValueError("decoded_class must be set exactly on a kept embryo's frames")
     return PipelineResult(
-        embryo_id=embryo_id, config=config, gate=gate, frames=tuple(frames)
+        embryo_id=_typed(obj["embryo_id"], str),
+        config=config,
+        gate=gate,
+        frames=tuple(frames),
     )

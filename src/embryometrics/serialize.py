@@ -10,14 +10,15 @@ the background run; 4-class maps as (label, count) run pairs.
 from __future__ import annotations
 
 import csv
+import functools
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FormatError, InvalidConfigError
+from .errors import FormatError, InvalidConfigError, ValidationError
 from .metrics import (
     DetectionBlock,
     EvaluationReport,
@@ -72,6 +73,77 @@ def _typed(value: Any, *types: type) -> Any:
     return value
 
 
+def _numbers(value: Any) -> tuple:
+    """A JSON list of numbers as a tuple, else TypeError."""
+    return tuple(_typed(x, int, float) for x in _typed(value, list))
+
+
+# JSON types a dataclass field accepts, by its declared type. An int stays
+# an int where a float is declared, so a file repeats a value as given.
+_JSON_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "float | None": (int, float, type(None)),
+    "str": (str,),
+    "bool": (bool,),
+}
+
+
+def _record(cls: type, obj: Any, partial: bool = False, **decoded: Any) -> Any:
+    """The dataclass ``cls`` built from the JSON object ``obj``.
+
+    Each key must name a field, and each field must have a key unless
+    ``partial`` (the field's default then applies). A value must have the
+    JSON type of its field's declared type, except for the fields in
+    ``decoded``, which the caller has decoded and which replace the raw
+    values.
+    """
+    declared = {f.name: f.type for f in fields(cls)}
+    for key, value in _typed(obj, dict).items():
+        if key not in declared:
+            raise ValueError(f"unknown key {key!r}")
+        if key not in decoded:
+            try:
+                _typed(value, *_JSON_TYPES[declared[key]])
+            except TypeError as e:
+                raise TypeError(f"{key!r}: {e}") from None
+    if not partial:
+        for key in declared:
+            if key not in obj:
+                raise KeyError(key)
+    return cls(**{**obj, **decoded})
+
+
+def _decoder(what: str, error: type[ValidationError] = FormatError):
+    """Decorate a ``*_from_obj`` decoder so that a malformed object raises
+    ``error`` with one line naming ``what``.
+
+    A KeyError, TypeError, ValueError, IndexError or OverflowError (a
+    number out of range for its type) from indexing or converting the
+    object becomes ``error``; a ValidationError (itself a ValueError)
+    passes through unchanged.
+    """
+
+    def wrap(decode):
+        @functools.wraps(decode)
+        def decoder(*args, **kwargs):
+            try:
+                return decode(*args, **kwargs)
+            except ValidationError:
+                raise
+            except (KeyError, TypeError, ValueError, IndexError, OverflowError) as e:
+                detail = f"missing key {e}" if isinstance(e, KeyError) else e
+                raise error(f"bad {what}: {detail}") from None
+
+        return decoder
+
+    return wrap
+
+
+def _header(kind: str) -> dict:
+    return {"format_version": FORMAT_VERSION, "kind": kind}
+
+
 def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -91,7 +163,7 @@ def write_ndjson(
     path: Path | str, rows: Iterable[Mapping[str, Any]], kind: str
 ) -> None:
     with open(path, "w") as f:
-        f.write(canonical_dumps({"format_version": FORMAT_VERSION, "kind": kind}) + "\n")
+        f.write(canonical_dumps(_header(kind)) + "\n")
         for row in rows:
             f.write(canonical_dumps(row) + "\n")
 
@@ -114,7 +186,9 @@ def read_ndjson(path: Path | str, kind: str) -> list[tuple[int, Any]]:
     return rows[1:]
 
 
-def _check_kind(obj: Mapping, kind: str) -> None:
+def _check_kind(obj: Mapping, kind: str) -> dict:
+    """``obj`` without its header keys; FormatError unless the header
+    names ``kind`` at the current format version."""
     if not isinstance(obj, Mapping):
         raise FormatError(f"expected a JSON object for {kind}")
     if obj.get("format_version") != FORMAT_VERSION:
@@ -123,6 +197,7 @@ def _check_kind(obj: Mapping, kind: str) -> None:
         )
     if obj.get("kind") != kind:
         raise FormatError(f"expected kind {kind!r}, got {obj.get('kind')!r}")
+    return {k: v for k, v in obj.items() if k not in ("format_version", "kind")}
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +208,13 @@ def mask_to_obj(mask: BinaryMask) -> dict:
     return {"w": mask.width, "h": mask.height, "rle": list(mask.runs)}
 
 
+@_decoder("mask")
 def mask_from_obj(obj: Mapping) -> BinaryMask:
-    try:
-        return BinaryMask(
-            width=int(obj["w"]), height=int(obj["h"]), runs=tuple(obj["rle"])
-        )
-    except (KeyError, TypeError) as e:
-        raise FormatError(f"bad mask object: {e!r}") from None
+    return BinaryMask(
+        width=_typed(obj["w"], int),
+        height=_typed(obj["h"], int),
+        runs=tuple(obj["rle"]),
+    )
 
 
 def seg_map_to_obj(seg: SegmentationMap) -> dict:
@@ -148,13 +223,11 @@ def seg_map_to_obj(seg: SegmentationMap) -> dict:
     return {"w": seg.width, "h": seg.height, "runs": runs}
 
 
+@_decoder("segmentation map")
 def seg_map_from_obj(obj: Mapping) -> SegmentationMap:
-    try:
-        w, h = int(obj["w"]), int(obj["h"])
-        values = [int(v) for v, _ in obj["runs"]]
-        counts = [int(c) for _, c in obj["runs"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"bad segmentation map object: {e!r}") from None
+    w, h = _typed(obj["w"], int), _typed(obj["h"], int)
+    values = [int(v) for v, _ in obj["runs"]]
+    counts = [int(c) for _, c in obj["runs"]]
     if sum(counts) != w * h:
         raise FormatError("segmentation run lengths do not cover the grid")
     flat = np.repeat(np.asarray(values, dtype=np.uint8), counts)
@@ -171,17 +244,15 @@ def candidate_to_obj(cand: InstanceCandidate) -> dict:
     }
 
 
+@_decoder("candidate")
 def candidate_from_obj(obj: Mapping) -> InstanceCandidate:
-    try:
-        return InstanceCandidate(
-            mask=mask_from_obj(obj["mask"]),
-            bbox=tuple(obj["bbox"]),
-            confidence=float(_typed(obj["confidence"], int, float)),
-            plane=_typed(obj["plane"], int),
-            kind=CandidateKind.from_token(obj["kind"]),
-        )
-    except KeyError as e:
-        raise FormatError(f"candidate object missing {e}") from None
+    return InstanceCandidate(
+        mask=mask_from_obj(obj["mask"]),
+        bbox=tuple(obj["bbox"]),
+        confidence=float(_typed(obj["confidence"], int, float)),
+        plane=_typed(obj["plane"], int),
+        kind=CandidateKind.from_token(obj["kind"]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +261,7 @@ def candidate_from_obj(obj: Mapping) -> InstanceCandidate:
 
 def movie_to_obj(movie: EmbryoMovie) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
-        "kind": "movie_manifest",
+        **_header("movie_manifest"),
         "embryo_id": movie.embryo_id,
         "image_size": movie.image_size,
         "plane_spacing_um": float(movie.plane_spacing_um),
@@ -201,16 +271,16 @@ def movie_to_obj(movie: EmbryoMovie) -> dict:
     }
 
 
+@_decoder("movie manifest")
 def movie_from_obj(obj: Mapping) -> EmbryoMovie:
-    _check_kind(obj, "movie_manifest")
-    return EmbryoMovie(
-        embryo_id=str(obj["embryo_id"]),
+    body = _check_kind(obj, "movie_manifest")
+    return _record(
+        EmbryoMovie,
+        {"plane_spacing_um": 15.0, **body},
         frames=tuple(
-            Frame(time_minutes=f["t"], planes=tuple(f["planes"]))
-            for f in obj["frames"]
+            Frame(_typed(f["t"], int, float), tuple(_typed(f["planes"], list)))
+            for f in _typed(body["frames"], list)
         ),
-        image_size=int(obj["image_size"]),
-        plane_spacing_um=float(obj.get("plane_spacing_um", 15.0)),
     )
 
 
@@ -224,8 +294,7 @@ def _circles_to_obj(circles: Sequence[Circle]) -> list[list[float]]:
 
 def truth_to_obj(truth: GroundTruth) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
-        "kind": "ground_truth",
+        **_header("ground_truth"),
         "embryo_id": truth.embryo_id,
         "image_size": truth.image_size,
         "plane_count": truth.plane_count,
@@ -245,30 +314,29 @@ def truth_to_obj(truth: GroundTruth) -> dict:
     }
 
 
+@_decoder("ground truth")
 def truth_from_obj(obj: Mapping) -> GroundTruth:
-    _check_kind(obj, "ground_truth")
-    return GroundTruth(
-        embryo_id=str(obj["embryo_id"]),
-        image_size=int(obj["image_size"]),
-        plane_count=int(obj["plane_count"]),
-        stages=tuple(StageClass.from_token(t) for t in obj["stages"]),
-        fragmentation_grades=tuple(int(g) for g in obj["fragmentation_grades"]),
-        seg_maps=tuple(seg_map_from_obj(m) for m in obj["seg_maps"]),
-        cell_masks=tuple(
-            tuple(mask_from_obj(m) for m in masks) for masks in obj["cell_masks"]
+    body = _check_kind(obj, "ground_truth")
+
+    def per_frame(key: str, decode) -> tuple:
+        return tuple(tuple(decode(x) for x in _typed(xs, list)) for xs in body[key])
+
+    def circle(value: Any) -> Circle:
+        cx, cy, r = _numbers(value)
+        return cx, cy, r
+
+    return _record(
+        GroundTruth,
+        body,
+        stages=tuple(StageClass.from_token(t) for t in _typed(body["stages"], list)),
+        fragmentation_grades=tuple(
+            _typed(g, int) for g in _typed(body["fragmentation_grades"], list)
         ),
-        pronucleus_masks=tuple(
-            tuple(mask_from_obj(m) for m in masks)
-            for masks in obj["pronucleus_masks"]
-        ),
-        cell_circles=tuple(
-            tuple((c[0], c[1], c[2]) for c in circles)
-            for circles in obj["cell_circles"]
-        ),
-        pronucleus_circles=tuple(
-            tuple((c[0], c[1], c[2]) for c in circles)
-            for circles in obj["pronucleus_circles"]
-        ),
+        seg_maps=tuple(seg_map_from_obj(m) for m in body["seg_maps"]),
+        cell_masks=per_frame("cell_masks", mask_from_obj),
+        pronucleus_masks=per_frame("pronucleus_masks", mask_from_obj),
+        cell_circles=per_frame("cell_circles", circle),
+        pronucleus_circles=per_frame("pronucleus_circles", circle),
     )
 
 
@@ -278,8 +346,7 @@ def truth_from_obj(obj: Mapping) -> GroundTruth:
 
 def synth_config_to_obj(config: SynthConfig) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
-        "kind": "synth_config",
+        **_header("synth_config"),
         "seed": config.seed,
         "embryo_id": config.embryo_id,
         "frames": config.frames,
@@ -289,49 +356,8 @@ def synth_config_to_obj(config: SynthConfig) -> dict:
         "dwell_ranges": [list(r) for r in config.dwell_ranges],
         "fragmentation_distribution": list(config.fragmentation_distribution),
         "pronucleus_distribution": list(config.pronucleus_distribution),
-        "noise": {
-            "logit_sigma": config.noise.logit_sigma,
-            "logit_scale": config.noise.logit_scale,
-            "mask_jitter_px": config.noise.mask_jitter_px,
-            "confidence_sigma": config.noise.confidence_sigma,
-            "fragmentation_sigma": config.noise.fragmentation_sigma,
-            "seg_flip_rate": config.noise.seg_flip_rate,
-        },
+        "noise": asdict(config.noise),
     }
-
-
-# JSON types of the keys a synth config object must have, and no others.
-_NUMBER = (int, float)
-_SYNTH_CONFIG_TYPES = {
-    "format_version": (int,),
-    "kind": (str,),
-    "seed": (int,),
-    "embryo_id": (str,),
-    "frames": (int,),
-    "image_size": (int,),
-    "plane_count": (int,),
-    "frame_interval_minutes": _NUMBER,
-    "dwell_ranges": (list,),
-    "fragmentation_distribution": (list,),
-    "pronucleus_distribution": (list,),
-    "noise": (dict,),
-}
-_NOISE_CONFIG_TYPES = {f.name: _NUMBER for f in fields(NoiseConfig)}
-
-
-def _check_keys(obj: Mapping, types: Mapping[str, tuple], what: str) -> None:
-    """InvalidConfigError unless ``obj`` has exactly the keys of ``types``,
-    each holding a value of one of its JSON types."""
-    for key in obj:
-        if key not in types:
-            raise InvalidConfigError(f"unknown {what} key {key!r}")
-    for key, allowed in types.items():
-        if key not in obj:
-            raise InvalidConfigError(f"{what} is missing key {key!r}")
-        try:
-            _typed(obj[key], *allowed)
-        except TypeError as e:
-            raise InvalidConfigError(f"{what} {key!r}: {e}") from None
 
 
 def _dwell_range(value: Any) -> tuple[int, int]:
@@ -340,31 +366,18 @@ def _dwell_range(value: Any) -> tuple[int, int]:
     return _typed(value[0], int), _typed(value[1], int)
 
 
+@_decoder("synth config", InvalidConfigError)
 def synth_config_from_obj(obj: Mapping) -> SynthConfig:
     """Decode a synth_config object; an unknown or missing key or a value
     of the wrong JSON type raises InvalidConfigError."""
-    _check_kind(obj, "synth_config")
-    _check_keys(obj, _SYNTH_CONFIG_TYPES, "synth config")
-    _check_keys(obj["noise"], _NOISE_CONFIG_TYPES, "synth config noise")
-    try:
-        dwell_ranges = tuple(_dwell_range(r) for r in obj["dwell_ranges"])
-        fragmentation = tuple(
-            _typed(p, *_NUMBER) for p in obj["fragmentation_distribution"]
-        )
-        pronucleus = tuple(_typed(p, *_NUMBER) for p in obj["pronucleus_distribution"])
-    except TypeError as e:
-        raise InvalidConfigError(f"synth config: {e}") from None
-    return SynthConfig(
-        seed=obj["seed"],
-        embryo_id=obj["embryo_id"],
-        frames=obj["frames"],
-        image_size=obj["image_size"],
-        plane_count=obj["plane_count"],
-        frame_interval_minutes=float(obj["frame_interval_minutes"]),
-        dwell_ranges=dwell_ranges,
-        fragmentation_distribution=fragmentation,
-        pronucleus_distribution=pronucleus,
-        noise=NoiseConfig(**obj["noise"]),
+    body = _check_kind(obj, "synth_config")
+    return _record(
+        SynthConfig,
+        body,
+        dwell_ranges=tuple(_dwell_range(r) for r in _typed(body["dwell_ranges"], list)),
+        fragmentation_distribution=_numbers(body["fragmentation_distribution"]),
+        pronucleus_distribution=_numbers(body["pronucleus_distribution"]),
+        noise=_record(NoiseConfig, body["noise"]),
     )
 
 
@@ -436,7 +449,7 @@ def read_backend_tables(backend_dir: Path | str) -> dict:
         for lineno, row in read_ndjson(path, _NDJSON_HEADER_KINDS[key]):
             try:
                 out.append(decode(row))
-            except (KeyError, TypeError, ValueError) as e:
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise FormatError(
                     f"{path}: bad row at line {lineno}: {type(e).__name__}: {e}"
                 ) from None
@@ -494,106 +507,55 @@ def _round6(value):
 
 
 def report_to_obj(report: EvaluationReport) -> dict:
-    obj: dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
-        "kind": "evaluation_report",
-        "embryo_id": report.embryo_id,
-        "low_fragmentation": report.low_fragmentation,
-        "segmentation": None,
-        "fragmentation": None,
-        "stage": None,
-        "cells": None,
-        "pronuclei": None,
-    }
+    obj = {**_header("evaluation_report"), **asdict(report)}
     if report.segmentation is not None:
-        obj["segmentation"] = {
-            "overall": report.segmentation.overall,
-            "per_class": {
-                SEG_CLASS_TOKENS[c]: v
-                for c, v in sorted(report.segmentation.per_class.items())
-            },
-            "n_frames": report.segmentation.n_frames,
-        }
-    if report.fragmentation is not None:
-        obj["fragmentation"] = {
-            "mad": report.fragmentation.mad,
-            "agreement": report.fragmentation.agreement,
-            "n_frames": report.fragmentation.n_frames,
+        obj["segmentation"]["per_class"] = {
+            SEG_CLASS_TOKENS[c]: v for c, v in report.segmentation.per_class.items()
         }
     if report.stage is not None:
-        obj["stage"] = {
-            "accuracy": report.stage.accuracy,
-            "confusion": {
-                c.token: list(row)
-                for c, row in sorted(report.stage.confusion.items())
-            },
-            "n_frames": report.stage.n_frames,
+        obj["stage"]["confusion"] = {
+            c.token: row for c, row in report.stage.confusion.items()
         }
-    for name, block in (("cells", report.cells), ("pronuclei", report.pronuclei)):
-        if block is not None:
-            obj[name] = {
-                "precision": block.precision,
-                "recall": block.recall,
-                "mean_ap": block.mean_ap,
-                "n_predictions": block.n_predictions,
-                "n_truths": block.n_truths,
-                "n_matched": block.n_matched,
-                "area_ratio_mean": block.area_ratio_mean,
-                "area_ratio_fraction_within": block.area_ratio_fraction_within,
-                "area_ratio_epsilon": block.area_ratio_epsilon,
-            }
     return _round6(obj)
 
 
+_SEG_CLASS_FROM_TOKEN = {v: k for k, v in SEG_CLASS_TOKENS.items()}
+
+
+@_decoder("evaluation report")
 def report_from_obj(obj: Mapping) -> EvaluationReport:
-    _check_kind(obj, "evaluation_report")
-    seg = obj.get("segmentation")
-    frag = obj.get("fragmentation")
-    stage = obj.get("stage")
-    token_to_seg = {v: k for k, v in SEG_CLASS_TOKENS.items()}
+    body = _check_kind(obj, "evaluation_report")
+    seg, stage = body["segmentation"], body["stage"]
 
-    def detection(block):
-        if block is None:
-            return None
-        return DetectionBlock(
-            precision=block["precision"],
-            recall=block["recall"],
-            mean_ap=block["mean_ap"],
-            n_predictions=block["n_predictions"],
-            n_truths=block["n_truths"],
-            n_matched=block["n_matched"],
-            area_ratio_mean=block["area_ratio_mean"],
-            area_ratio_fraction_within=block["area_ratio_fraction_within"],
-            area_ratio_epsilon=block["area_ratio_epsilon"],
-        )
+    def block(cls: type, value: Any) -> Any:
+        return None if value is None else _record(cls, value)
 
-    return EvaluationReport(
-        embryo_id=str(obj["embryo_id"]),
-        low_fragmentation=bool(obj["low_fragmentation"]),
+    return _record(
+        EvaluationReport,
+        body,
         segmentation=None
         if seg is None
-        else SegmentationBlock(
-            overall=seg["overall"],
-            per_class={token_to_seg[t]: v for t, v in seg["per_class"].items()},
-            n_frames=seg["n_frames"],
+        else _record(
+            SegmentationBlock,
+            seg,
+            per_class={
+                _SEG_CLASS_FROM_TOKEN[t]: _typed(v, int, float)
+                for t, v in _typed(seg["per_class"], dict).items()
+            },
         ),
-        fragmentation=None
-        if frag is None
-        else FragmentationBlock(
-            mad=frag["mad"], agreement=frag["agreement"], n_frames=frag["n_frames"]
-        ),
+        fragmentation=block(FragmentationBlock, body["fragmentation"]),
         stage=None
         if stage is None
-        else StageBlock(
-            accuracy=stage["accuracy"],
+        else _record(
+            StageBlock,
+            stage,
             confusion={
-                StageClass.from_token(t): tuple(row)
-                for t, row in stage["confusion"].items()
+                StageClass.from_token(t): _numbers(row)
+                for t, row in _typed(stage["confusion"], dict).items()
             },
-            n_frames=stage["n_frames"],
         ),
-        cells=detection(obj.get("cells")),
-        pronuclei=detection(obj.get("pronuclei")),
+        cells=block(DetectionBlock, body["cells"]),
+        pronuclei=block(DetectionBlock, body["pronuclei"]),
     )
 
 

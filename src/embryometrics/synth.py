@@ -98,6 +98,9 @@ class SynthConfig:
     noise: NoiseConfig = field(default_factory=NoiseConfig)
 
     def __post_init__(self):
+        if self.seed < 0:
+            # SeedSequence takes only non-negative entropy.
+            raise InvalidConfigError("seed must be >= 0")
         if self.frames < 1:
             raise InvalidConfigError("frames must be >= 1")
         if self.image_size < 48:

@@ -1,15 +1,16 @@
 """Each fast mask path against the slow reference it replaced.
 
 The bounding-box IoU kernel is checked against the dense `mask_iou`; the
-`np.repeat` mask decoder and the vectorised segmentation-map encoder are
-checked against the loops they replaced, kept here as references.
+`np.repeat` mask decoder, the vectorised segmentation-map encoder and the
+run-based bounding box are checked against the code they replaced, kept
+here as references.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from embryometrics.errors import ShapeMismatchError
+from embryometrics.errors import ShapeMismatchError, ValidationError
 from embryometrics.gating import average_fragmentation
 from embryometrics.geometry import iou_matrix, mask_iou
 from embryometrics.model import BinaryMask, FragmentationScore, SegmentationMap
@@ -27,6 +28,18 @@ def loop_decode(mask: BinaryMask) -> np.ndarray:
         pos += run
         fg = not fg
     return flat.reshape(mask.height, mask.width)
+
+
+def decode_bbox(mask: BinaryMask) -> tuple[int, int, int, int]:
+    """The decode-and-scan `BinaryMask.tight_bbox` used to be."""
+    arr = mask.to_array()
+    rows = np.flatnonzero(arr.any(axis=1))
+    cols = np.flatnonzero(arr.any(axis=0))
+    if rows.size == 0:
+        raise ValidationError("empty mask has no bounding box")
+    y0, y1 = int(rows[0]), int(rows[-1])
+    x0, x1 = int(cols[0]), int(cols[-1])
+    return (x0, y0, x1 - x0 + 1, y1 - y0 + 1)
 
 
 def comprehension_seg_runs(seg: SegmentationMap) -> list[list[int]]:
@@ -124,6 +137,39 @@ class TestMaskDecode:
         assert decoded.dtype == bool
         assert np.array_equal(decoded, loop_decode(mask))
         assert np.array_equal(decoded, arr)
+
+
+class TestTightBbox:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 14).flatmap(
+            lambda w: st.integers(1, 14).flatmap(lambda h: mask_arrays(w, h))
+        )
+    )
+    def test_equals_decode_and_scan(self, arr):
+        mask = BinaryMask.from_array(arr)
+        if not arr.any():
+            for bbox in (mask.tight_bbox, lambda: decode_bbox(mask)):
+                with pytest.raises(ValidationError):
+                    bbox()
+            return
+        assert mask.tight_bbox() == decode_bbox(mask)
+
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            [[1]],
+            [[0, 0, 0], [0, 0, 1]],
+            [[1, 0, 0], [0, 0, 0]],
+            # One run across a row break: columns 2 and 0 only.
+            [[0, 0, 1], [1, 0, 0]],
+            [[0, 1, 0], [0, 1, 0], [0, 1, 0]],
+            [[1, 1], [1, 1]],
+        ],
+    )
+    def test_hand_cases(self, arr):
+        mask = BinaryMask.from_array(np.array(arr))
+        assert mask.tight_bbox() == decode_bbox(mask)
 
 
 class TestSegMapRuns:

@@ -35,6 +35,7 @@ BAD_SYNTH_CONFIGS = [
     lambda obj: obj["noise"].pop("seg_flip_rate"),
     lambda obj: obj["noise"].update(logit_sigma="0"),
     lambda obj: obj["noise"].update(seg_flip_rate=False),
+    lambda obj: obj.update(seed=-1),
 ]
 
 
@@ -71,6 +72,12 @@ class TestSynthConfigFromObj:
         rc = main(["synth", "--config", str(path), "--out", str(tmp_path / "out")])
         assert_one_line_error(capsys, rc)
         assert not (tmp_path / "out" / "index.json").exists()
+
+
+def test_negative_seed_option_exits_1_with_one_line(tmp_path, capsys):
+    rc = main(["synth", "--out", str(tmp_path / "out"), "--seed", "-1"])
+    assert_one_line_error(capsys, rc)
+    assert not (tmp_path / "out" / "index.json").exists()
 
 
 @pytest.fixture(scope="module")
