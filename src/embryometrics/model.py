@@ -113,6 +113,17 @@ class SegClass(IntEnum):
     ZONA = 2
     INSIDE_ZONA = 3
 
+    @property
+    def token(self) -> str:
+        return self.name.lower()
+
+    @classmethod
+    def from_token(cls, token: str) -> "SegClass":
+        for c in cls:
+            if c.token == token:
+                return c
+        raise ValidationError(f"unknown segmentation class token: {token!r}")
+
 
 class CandidateKind(IntEnum):
     """What an instance candidate outlines."""
@@ -404,7 +415,10 @@ class Frame:
     planes: tuple[str, ...]
 
     def __post_init__(self):
-        planes = tuple(str(p) for p in self.planes)
+        planes = tuple(self.planes)
+        for p in planes:
+            if not isinstance(p, str):
+                raise ValidationError(f"plane reference {p!r} is not a string")
         if len(planes) != 7:
             raise ValidationError(f"frame needs exactly 7 plane refs, got {len(planes)}")
         object.__setattr__(self, "planes", planes)
@@ -430,6 +444,7 @@ class EmbryoMovie:
         if self.image_size <= 0:
             raise ValidationError("image_size must be positive")
         object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "plane_spacing_um", float(self.plane_spacing_um))
 
     @property
     def times(self) -> tuple[float, ...]:

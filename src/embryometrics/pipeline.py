@@ -20,7 +20,6 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from . import serialize
 from .backends import BackendSuite
 from .decoder import argmax_trajectory, decode_monotone, exclude_frames
 from .errors import (
@@ -59,7 +58,7 @@ from .model import (
     StageProbabilityMatrix,
     validate_prob_vector,
 )
-from .serialize import _check_kind, _decoder, _record, _typed
+from .serialize import _check_kind, _decoder, _header, _record, _to_json, _typed
 from .synth import GroundTruth
 
 
@@ -363,100 +362,22 @@ def evaluate_run(
 
 
 def result_to_obj(result: PipelineResult) -> dict:
-    frames = []
-    for f in result.frames:
-        frames.append(
-            {
-                "t": f.time_minutes,
-                "roi": {
-                    "x": f.roi.x,
-                    "y": f.roi.y,
-                    "side": f.roi.side,
-                    "center": list(f.roi.center),
-                    "fallback": f.roi_fallback,
-                },
-                "seg_map": serialize.seg_map_to_obj(f.seg_map),
-                "fragmentation_score": f.fragmentation_score.value,
-                "stage_probs": None
-                if f.stage_probs is None
-                else [float(x) for x in f.stage_probs],
-                "argmax_class": None if f.argmax_class is None else f.argmax_class.token,
-                "decoded_class": None
-                if f.decoded_class is None
-                else f.decoded_class.token,
-                "excluded": f.excluded,
-                "cells": None
-                if f.cells is None
-                else [serialize.candidate_to_obj(c) for c in f.cells],
-                "pronuclei": None
-                if f.pronuclei is None
-                else [serialize.candidate_to_obj(c) for c in f.pronuclei],
-            }
-        )
-    return {
-        "format_version": serialize.FORMAT_VERSION,
-        "kind": "pipeline_result",
-        "embryo_id": result.embryo_id,
-        "config": result.config.to_obj(),
-        "gate": {
-            "embryo_score": result.gate.embryo_score.value,
-            "low_fragmentation": result.gate.low_fragmentation,
-            "threshold": result.gate.threshold,
-        },
-        "frames": frames,
-    }
+    obj = {**_header("pipeline_result"), **_to_json(result)}
+    for frame in obj["frames"]:
+        frame["roi"]["fallback"] = frame.pop("roi_fallback")
+    return obj
 
 
 @_decoder("pipeline result")
 def result_from_obj(obj: Any) -> PipelineResult:
-    """Decode a pipeline_result object; a missing or wrong-typed key is a FormatError."""
-    _check_kind(obj, "pipeline_result")
-    config = PipelineConfig.from_obj(obj["config"])
-    gate = _record(
-        GateDecision,
-        obj["gate"],
-        embryo_score=FragmentationScore(_typed(obj["gate"]["embryo_score"], int, float)),
-    )
+    """Decode a pipeline_result object; a missing, unknown or wrong-typed
+    key is a FormatError."""
+    body = _check_kind(obj, "pipeline_result")
     frames = []
-    for f in _typed(obj["frames"], list):
-        roi = Roi(
-            x=_typed(f["roi"]["x"], int),
-            y=_typed(f["roi"]["y"], int),
-            side=_typed(f["roi"]["side"], int),
-            center=tuple(f["roi"]["center"]),
-        )
-        frames.append(
-            FrameRecord(
-                time_minutes=float(_typed(f["t"], int, float)),
-                roi=roi,
-                roi_fallback=_typed(f["roi"]["fallback"], bool),
-                seg_map=serialize.seg_map_from_obj(f["seg_map"]),
-                fragmentation_score=FragmentationScore(
-                    _typed(f["fragmentation_score"], int, float)
-                ),
-                stage_probs=None
-                if f["stage_probs"] is None
-                else np.asarray(_typed(f["stage_probs"], list), dtype=np.float64),
-                argmax_class=None
-                if f["argmax_class"] is None
-                else StageClass.from_token(f["argmax_class"]),
-                decoded_class=None
-                if f["decoded_class"] is None
-                else StageClass.from_token(f["decoded_class"]),
-                excluded=_typed(f["excluded"], bool, type(None)),
-                cells=None
-                if f["cells"] is None
-                else tuple(serialize.candidate_from_obj(c) for c in f["cells"]),
-                pronuclei=None
-                if f["pronuclei"] is None
-                else tuple(serialize.candidate_from_obj(c) for c in f["pronuclei"]),
-            )
-        )
-    if any((f.decoded_class is None) == gate.low_fragmentation for f in frames):
+    for frame in _typed(body["frames"], list):
+        roi = dict(_typed(_typed(frame, dict)["roi"], dict))
+        frames.append({**frame, "roi": roi, "roi_fallback": roi.pop("fallback")})
+    result = _record(PipelineResult, {**body, "frames": frames})
+    if any((f.decoded_class is None) == result.gate.low_fragmentation for f in result.frames):
         raise ValueError("decoded_class must be set exactly on a kept embryo's frames")
-    return PipelineResult(
-        embryo_id=_typed(obj["embryo_id"], str),
-        config=config,
-        gate=gate,
-        frames=tuple(frames),
-    )
+    return result

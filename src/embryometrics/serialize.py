@@ -5,6 +5,10 @@ All JSON is written canonically (sorted keys, compact separators, bare
 floats via repr) so identical inputs produce byte-identical files.
 Binary masks are stored as row-major run-length encodings starting with
 the background run; 4-class maps as (label, count) run pairs.
+
+Every other record is read off its dataclass: ``_to_json`` writes it
+field by field, and ``_record`` reads it back by the declared field
+types, rejecting unknown, missing and wrong-typed keys at every depth.
 """
 
 from __future__ import annotations
@@ -12,42 +16,39 @@ from __future__ import annotations
 import csv
 import functools
 import json
-from dataclasses import asdict, fields
+from collections import abc
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
+from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from types import UnionType
+from typing import (
+    Any,
+    Iterable,
+    Mapping,
+    Sequence,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 import numpy as np
 
 from .errors import FormatError, InvalidConfigError, ValidationError
-from .metrics import (
-    DetectionBlock,
-    EvaluationReport,
-    FragmentationBlock,
-    SegmentationBlock,
-    StageBlock,
-)
+from .metrics import EvaluationReport
 from .model import (
     BinaryMask,
-    CandidateKind,
     ConfusionMatrix,
     EmbryoMovie,
-    Frame,
+    FragmentationScore,
     InstanceCandidate,
-    SegClass,
     SegmentationMap,
-    StageClass,
     run_lengths,
 )
-from .synth import Circle, GroundTruth, NoiseConfig, RenderedOutputs, SynthConfig
+from .synth import GroundTruth, RenderedOutputs, SynthConfig
 
 FORMAT_VERSION = 1
-
-SEG_CLASS_TOKENS = {
-    SegClass.OUTSIDE_WELL: "outside_well",
-    SegClass.INSIDE_WELL: "inside_well",
-    SegClass.ZONA: "zona",
-    SegClass.INSIDE_ZONA: "inside_zona",
-}
 
 BACKEND_FILES = {
     "segmentation": "segmentation.ndjson",
@@ -73,45 +74,110 @@ def _typed(value: Any, *types: type) -> Any:
     return value
 
 
-def _numbers(value: Any) -> tuple:
-    """A JSON list of numbers as a tuple, else TypeError."""
-    return tuple(_typed(x, int, float) for x in _typed(value, list))
+# Dataclass fields whose JSON key differs from the field name.
+_JSON_NAMES = {"time_minutes": "t"}
 
 
-# JSON types a dataclass field accepts, by its declared type. An int stays
-# an int where a float is declared, so a file repeats a value as given.
-_JSON_TYPES = {
-    "int": (int,),
-    "float": (int, float),
-    "float | None": (int, float, type(None)),
-    "str": (str,),
-    "bool": (bool,),
-}
+@functools.cache
+def _schema(cls: type) -> dict[str, tuple[str, Any]]:
+    """JSON key -> (field name, declared type) for the dataclass ``cls``."""
+    hints = get_type_hints(cls)
+    return {_JSON_NAMES.get(f.name, f.name): (f.name, hints[f.name]) for f in fields(cls)}
 
 
-def _record(cls: type, obj: Any, partial: bool = False, **decoded: Any) -> Any:
+def _to_json(value: Any) -> Any:
+    """``value`` as JSON data: a dataclass field by field, an enum by its
+    token, a tuple, list or array as a list, a mapping with encoded keys.
+
+    Masks and maps keep their own run-length codecs, and a fragmentation
+    score is its value.
+    """
+    if type(value) in (str, int, float, bool, type(None)):
+        return value
+    if isinstance(value, BinaryMask):
+        return mask_to_obj(value)
+    if isinstance(value, SegmentationMap):
+        return seg_map_to_obj(value)
+    if isinstance(value, FragmentationScore):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return [float(x) for x in value]
+    if isinstance(value, Enum):
+        return value.token
+    if is_dataclass(value):
+        return {
+            key: _to_json(getattr(value, name))
+            for key, (name, _) in _schema(type(value)).items()
+        }
+    if isinstance(value, (tuple, list)):
+        return [_to_json(x) for x in value]
+    if isinstance(value, Mapping):
+        return {_to_json(k): _to_json(v) for k, v in value.items()}
+    return value
+
+
+def _from_json(tp: Any, value: Any) -> Any:
+    """The JSON ``value`` decoded as the declared type ``tp``.
+
+    A value of the wrong JSON type is a TypeError, a tuple of the wrong
+    length a ValueError. An int stays an int where a float is declared,
+    so a file repeats a value as given.
+    """
+    if tp is float:
+        return _typed(value, int, float)
+    if tp is int or tp is str or tp is bool:
+        return _typed(value, tp)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union or origin is UnionType:
+        if value is None and type(None) in args:
+            return None
+        (inner,) = (a for a in args if a is not type(None))
+        return _from_json(inner, value)
+    if origin is tuple:
+        items = _typed(value, list)
+        if args[-1] is Ellipsis:
+            return tuple(_from_json(args[0], x) for x in items)
+        if len(items) != len(args):
+            raise ValueError(f"expected {len(args)} values, got {len(items)}")
+        return tuple(map(_from_json, args, items))
+    if origin is abc.Mapping:
+        k, v = args
+        return {_from_json(k, key): _from_json(v, x) for key, x in _typed(value, dict).items()}
+    if tp is BinaryMask:
+        return mask_from_obj(value)
+    if tp is SegmentationMap:
+        return seg_map_from_obj(value)
+    if tp is FragmentationScore:
+        return FragmentationScore(_typed(value, int, float))
+    if tp is np.ndarray:
+        return np.asarray(_from_json(tuple[float, ...], value), dtype=np.float64)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return tp.from_token(_typed(value, str))
+    return _record(tp, value)
+
+
+def _record(cls: type, obj: Any, partial: bool = False) -> Any:
     """The dataclass ``cls`` built from the JSON object ``obj``.
 
     Each key must name a field, and each field must have a key unless
-    ``partial`` (the field's default then applies). A value must have the
-    JSON type of its field's declared type, except for the fields in
-    ``decoded``, which the caller has decoded and which replace the raw
-    values.
+    ``partial`` (the field's default then applies). Each value is decoded
+    as its field's declared type.
     """
-    declared = {f.name: f.type for f in fields(cls)}
+    schema = _schema(cls)
+    kwargs = {}
     for key, value in _typed(obj, dict).items():
-        if key not in declared:
+        if key not in schema:
             raise ValueError(f"unknown key {key!r}")
-        if key not in decoded:
-            try:
-                _typed(value, *_JSON_TYPES[declared[key]])
-            except TypeError as e:
-                raise TypeError(f"{key!r}: {e}") from None
+        name, tp = schema[key]
+        try:
+            kwargs[name] = _from_json(tp, value)
+        except TypeError as e:
+            raise TypeError(f"{key!r}: {e}") from None
     if not partial:
-        for key in declared:
+        for key in schema:
             if key not in obj:
                 raise KeyError(key)
-    return cls(**{**obj, **decoded})
+    return cls(**kwargs)
 
 
 def _decoder(what: str, error: type[ValidationError] = FormatError):
@@ -204,6 +270,14 @@ def _check_kind(obj: Mapping, kind: str) -> dict:
 # Masks and maps
 
 
+def _integers(values: Sequence) -> np.ndarray:
+    """Run values from JSON as an integer array, else TypeError."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind != "i":
+        raise TypeError("run values must be integers")
+    return arr
+
+
 def mask_to_obj(mask: BinaryMask) -> dict:
     return {"w": mask.width, "h": mask.height, "rle": list(mask.runs)}
 
@@ -213,7 +287,7 @@ def mask_from_obj(obj: Mapping) -> BinaryMask:
     return BinaryMask(
         width=_typed(obj["w"], int),
         height=_typed(obj["h"], int),
-        runs=tuple(obj["rle"]),
+        runs=tuple(_integers(_typed(obj["rle"], list)).tolist()),
     )
 
 
@@ -226,163 +300,87 @@ def seg_map_to_obj(seg: SegmentationMap) -> dict:
 @_decoder("segmentation map")
 def seg_map_from_obj(obj: Mapping) -> SegmentationMap:
     w, h = _typed(obj["w"], int), _typed(obj["h"], int)
-    values = [int(v) for v, _ in obj["runs"]]
-    counts = [int(c) for _, c in obj["runs"]]
-    if sum(counts) != w * h:
+    runs = _typed(obj["runs"], list)
+    if set(map(len, runs)) != {2}:
+        raise TypeError("expected a list of [label, count] pairs")
+    values = _integers(list(chain.from_iterable(runs)))
+    labels, counts = values[0::2], values[1::2]
+    if sum(counts.tolist()) != w * h:
         raise FormatError("segmentation run lengths do not cover the grid")
-    flat = np.repeat(np.asarray(values, dtype=np.uint8), counts)
-    return SegmentationMap(flat.reshape(h, w))
+    # Checked here because the cast to uint8 would wrap 256 to 0.
+    if labels.min() < 0 or labels.max() > 3:
+        raise ValueError("labels must be in 0..3")
+    return SegmentationMap(np.repeat(labels.astype(np.uint8), counts).reshape(h, w))
 
 
 def candidate_to_obj(cand: InstanceCandidate) -> dict:
-    return {
-        "kind": cand.kind.token,
-        "confidence": float(cand.confidence),
-        "bbox": list(cand.bbox),
-        "plane": cand.plane,
-        "mask": mask_to_obj(cand.mask),
-    }
+    return _to_json(cand)
 
 
 @_decoder("candidate")
 def candidate_from_obj(obj: Mapping) -> InstanceCandidate:
-    return InstanceCandidate(
-        mask=mask_from_obj(obj["mask"]),
-        bbox=tuple(obj["bbox"]),
-        confidence=float(_typed(obj["confidence"], int, float)),
-        plane=_typed(obj["plane"], int),
-        kind=CandidateKind.from_token(obj["kind"]),
-    )
+    return _record(InstanceCandidate, obj)
 
 
 # ---------------------------------------------------------------------------
-# Movie manifests
+# Movie manifests, ground truth and synth configs
 
 
 def movie_to_obj(movie: EmbryoMovie) -> dict:
-    return {
-        **_header("movie_manifest"),
-        "embryo_id": movie.embryo_id,
-        "image_size": movie.image_size,
-        "plane_spacing_um": float(movie.plane_spacing_um),
-        "frames": [
-            {"t": f.time_minutes, "planes": list(f.planes)} for f in movie.frames
-        ],
-    }
+    return {**_header("movie_manifest"), **_to_json(movie)}
 
 
 @_decoder("movie manifest")
 def movie_from_obj(obj: Mapping) -> EmbryoMovie:
     body = _check_kind(obj, "movie_manifest")
-    return _record(
-        EmbryoMovie,
-        {"plane_spacing_um": 15.0, **body},
-        frames=tuple(
-            Frame(_typed(f["t"], int, float), tuple(_typed(f["planes"], list)))
-            for f in _typed(body["frames"], list)
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Ground truth
-
-
-def _circles_to_obj(circles: Sequence[Circle]) -> list[list[float]]:
-    return [[float(cx), float(cy), float(r)] for cx, cy, r in circles]
+    return _record(EmbryoMovie, {"plane_spacing_um": 15.0, **body})
 
 
 def truth_to_obj(truth: GroundTruth) -> dict:
-    return {
-        **_header("ground_truth"),
-        "embryo_id": truth.embryo_id,
-        "image_size": truth.image_size,
-        "plane_count": truth.plane_count,
-        "stages": [s.token for s in truth.stages],
-        "fragmentation_grades": list(truth.fragmentation_grades),
-        "seg_maps": [seg_map_to_obj(m) for m in truth.seg_maps],
-        "cell_masks": [
-            [mask_to_obj(m) for m in masks] for masks in truth.cell_masks
-        ],
-        "pronucleus_masks": [
-            [mask_to_obj(m) for m in masks] for masks in truth.pronucleus_masks
-        ],
-        "cell_circles": [_circles_to_obj(c) for c in truth.cell_circles],
-        "pronucleus_circles": [
-            _circles_to_obj(c) for c in truth.pronucleus_circles
-        ],
-    }
+    return {**_header("ground_truth"), **_to_json(truth)}
 
 
 @_decoder("ground truth")
 def truth_from_obj(obj: Mapping) -> GroundTruth:
-    body = _check_kind(obj, "ground_truth")
-
-    def per_frame(key: str, decode) -> tuple:
-        return tuple(tuple(decode(x) for x in _typed(xs, list)) for xs in body[key])
-
-    def circle(value: Any) -> Circle:
-        cx, cy, r = _numbers(value)
-        return cx, cy, r
-
-    return _record(
-        GroundTruth,
-        body,
-        stages=tuple(StageClass.from_token(t) for t in _typed(body["stages"], list)),
-        fragmentation_grades=tuple(
-            _typed(g, int) for g in _typed(body["fragmentation_grades"], list)
-        ),
-        seg_maps=tuple(seg_map_from_obj(m) for m in body["seg_maps"]),
-        cell_masks=per_frame("cell_masks", mask_from_obj),
-        pronucleus_masks=per_frame("pronucleus_masks", mask_from_obj),
-        cell_circles=per_frame("cell_circles", circle),
-        pronucleus_circles=per_frame("pronucleus_circles", circle),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Synth config
+    return _record(GroundTruth, _check_kind(obj, "ground_truth"))
 
 
 def synth_config_to_obj(config: SynthConfig) -> dict:
-    return {
-        **_header("synth_config"),
-        "seed": config.seed,
-        "embryo_id": config.embryo_id,
-        "frames": config.frames,
-        "image_size": config.image_size,
-        "plane_count": config.plane_count,
-        "frame_interval_minutes": float(config.frame_interval_minutes),
-        "dwell_ranges": [list(r) for r in config.dwell_ranges],
-        "fragmentation_distribution": list(config.fragmentation_distribution),
-        "pronucleus_distribution": list(config.pronucleus_distribution),
-        "noise": asdict(config.noise),
-    }
-
-
-def _dwell_range(value: Any) -> tuple[int, int]:
-    if len(_typed(value, list)) != 2:
-        raise TypeError(f"expected a [lo, hi] pair, got {value!r}")
-    return _typed(value[0], int), _typed(value[1], int)
+    return {**_header("synth_config"), **_to_json(config)}
 
 
 @_decoder("synth config", InvalidConfigError)
 def synth_config_from_obj(obj: Mapping) -> SynthConfig:
     """Decode a synth_config object; an unknown or missing key or a value
     of the wrong JSON type raises InvalidConfigError."""
-    body = _check_kind(obj, "synth_config")
-    return _record(
-        SynthConfig,
-        body,
-        dwell_ranges=tuple(_dwell_range(r) for r in _typed(body["dwell_ranges"], list)),
-        fragmentation_distribution=_numbers(body["fragmentation_distribution"]),
-        pronucleus_distribution=_numbers(body["pronucleus_distribution"]),
-        noise=_record(NoiseConfig, body["noise"]),
-    )
+    return _record(SynthConfig, _check_kind(obj, "synth_config"))
 
 
 # ---------------------------------------------------------------------------
 # Backend output files
+
+# The data rows of three backend files; a candidate row is a candidate
+# object plus its frame index.
+
+
+@dataclass(frozen=True)
+class _SegRow:
+    frame: int
+    plane: int
+    map: SegmentationMap
+
+
+@dataclass(frozen=True)
+class _FragRow:
+    frame: int
+    plane: int
+    score: float
+
+
+@dataclass(frozen=True)
+class _StageRow:
+    t: float
+    p: np.ndarray
 
 
 def write_backend_files(
@@ -394,42 +392,29 @@ def write_backend_files(
     """Write the five per-frame backend output files into out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_ndjson(
-        out / BACKEND_FILES["segmentation"],
-        (
-            {"frame": i, "plane": seg_plane, "map": seg_map_to_obj(m)}
-            for i, m in enumerate(rendered.seg_maps)
+    rows = {
+        "segmentation": (
+            _to_json(_SegRow(i, seg_plane, m)) for i, m in enumerate(rendered.seg_maps)
         ),
-        kind=_NDJSON_HEADER_KINDS["segmentation"],
-    )
-    write_ndjson(
-        out / BACKEND_FILES["fragmentation"],
-        (
-            {"frame": i, "plane": plane, "score": float(score)}
+        "fragmentation": (
+            _to_json(_FragRow(i, plane, float(score)))
             for i, scores in enumerate(rendered.fragmentation)
             for plane, score in sorted(scores.items())
         ),
-        kind=_NDJSON_HEADER_KINDS["fragmentation"],
-    )
-    write_ndjson(
-        out / BACKEND_FILES["stage_probs"],
-        (
-            {"t": float(t), "p": [float(x) for x in vec]}
+        "stage_probs": (
+            _to_json(_StageRow(float(t), vec))
             for t, vec in zip(times, rendered.stage_probs)
         ),
-        kind=_NDJSON_HEADER_KINDS["stage_probs"],
-    )
+    }
     for key, per_frame in (("cells", rendered.cells), ("pronuclei", rendered.pronuclei)):
-        write_ndjson(
-            out / BACKEND_FILES[key],
-            (
-                dict(candidate_to_obj(c), frame=i)
-                for i, planes in enumerate(per_frame)
-                for plane in sorted(planes)
-                for c in planes[plane]
-            ),
-            kind=_NDJSON_HEADER_KINDS[key],
+        rows[key] = (
+            dict(candidate_to_obj(c), frame=i)
+            for i, planes in enumerate(per_frame)
+            for plane in sorted(planes)
+            for c in planes[plane]
         )
+    for key, data in rows.items():
+        write_ndjson(out / BACKEND_FILES[key], data, kind=_NDJSON_HEADER_KINDS[key])
 
 
 def read_backend_tables(backend_dir: Path | str) -> dict:
@@ -438,6 +423,7 @@ def read_backend_tables(backend_dir: Path | str) -> dict:
     Returns a dict with keys seg, frag, stage, cells, pronuclei; seg and
     frag are keyed by (frame, plane), stage by frame, and the candidate
     tables by (frame, plane) with missing keys meaning no detections.
+    Stage rows must come in strictly increasing time ``t``.
     """
     d = Path(backend_dir)
 
@@ -455,23 +441,31 @@ def read_backend_tables(backend_dir: Path | str) -> dict:
                 ) from None
         return out
 
-    def frame_plane(row: Mapping) -> tuple[int, int]:
-        return _typed(row["frame"], int), _typed(row["plane"], int)
+    times: list[float] = []
 
-    seg = decoded(
-        "segmentation", lambda r: (frame_plane(r), seg_map_from_obj(r["map"]))
-    )
-    frag = decoded(
-        "fragmentation",
-        lambda r: (frame_plane(r), float(_typed(r["score"], int, float))),
-    )
-    stage = decoded(
-        "stage_probs", lambda r: np.asarray(_typed(r["p"], list), dtype=np.float64)
-    )
-    tables = {"seg": dict(seg), "frag": dict(frag), "stage": dict(enumerate(stage))}
+    def stage_row(obj: Any) -> np.ndarray:
+        row = _record(_StageRow, obj)
+        if times and not row.t > times[-1]:
+            raise ValueError(f"t {row.t!r} is not after the previous row's {times[-1]!r}")
+        times.append(row.t)
+        return row.p
+
+    def candidate_row(obj: Any) -> tuple:
+        body = dict(_typed(obj, dict))
+        frame = _typed(body.pop("frame"), int)
+        cand = candidate_from_obj(body)
+        return (frame, cand.plane), cand
+
+    seg = decoded("segmentation", lambda r: _record(_SegRow, r))
+    frag = decoded("fragmentation", lambda r: _record(_FragRow, r))
+    tables = {
+        "seg": {(r.frame, r.plane): r.map for r in seg},
+        "frag": {(r.frame, r.plane): float(r.score) for r in frag},
+        "stage": dict(enumerate(decoded("stage_probs", stage_row))),
+    }
     for key in ("cells", "pronuclei"):
         table: dict = {}
-        for k, cand in decoded(key, lambda r: (frame_plane(r), candidate_from_obj(r))):
+        for k, cand in decoded(key, candidate_row):
             table.setdefault(k, []).append(cand)
         tables[key] = {k: tuple(v) for k, v in table.items()}
     return tables
@@ -507,56 +501,12 @@ def _round6(value):
 
 
 def report_to_obj(report: EvaluationReport) -> dict:
-    obj = {**_header("evaluation_report"), **asdict(report)}
-    if report.segmentation is not None:
-        obj["segmentation"]["per_class"] = {
-            SEG_CLASS_TOKENS[c]: v for c, v in report.segmentation.per_class.items()
-        }
-    if report.stage is not None:
-        obj["stage"]["confusion"] = {
-            c.token: row for c, row in report.stage.confusion.items()
-        }
-    return _round6(obj)
-
-
-_SEG_CLASS_FROM_TOKEN = {v: k for k, v in SEG_CLASS_TOKENS.items()}
+    return _round6({**_header("evaluation_report"), **_to_json(report)})
 
 
 @_decoder("evaluation report")
 def report_from_obj(obj: Mapping) -> EvaluationReport:
-    body = _check_kind(obj, "evaluation_report")
-    seg, stage = body["segmentation"], body["stage"]
-
-    def block(cls: type, value: Any) -> Any:
-        return None if value is None else _record(cls, value)
-
-    return _record(
-        EvaluationReport,
-        body,
-        segmentation=None
-        if seg is None
-        else _record(
-            SegmentationBlock,
-            seg,
-            per_class={
-                _SEG_CLASS_FROM_TOKEN[t]: _typed(v, int, float)
-                for t, v in _typed(seg["per_class"], dict).items()
-            },
-        ),
-        fragmentation=block(FragmentationBlock, body["fragmentation"]),
-        stage=None
-        if stage is None
-        else _record(
-            StageBlock,
-            stage,
-            confusion={
-                StageClass.from_token(t): _numbers(row)
-                for t, row in _typed(stage["confusion"], dict).items()
-            },
-        ),
-        cells=block(DetectionBlock, body["cells"]),
-        pronuclei=block(DetectionBlock, body["pronuclei"]),
-    )
+    return _record(EvaluationReport, _check_kind(obj, "evaluation_report"))
 
 
 def report_csv_rows(obj: Mapping) -> list[tuple[str, str, str]]:

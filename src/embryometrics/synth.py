@@ -147,6 +147,9 @@ class SynthConfig:
         object.__setattr__(self, "frames", int(self.frames))
         object.__setattr__(self, "image_size", int(self.image_size))
         object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(
+            self, "frame_interval_minutes", float(self.frame_interval_minutes)
+        )
 
 
 Circle = tuple[float, float, float]  # (cx, cy, r)

@@ -102,6 +102,8 @@ BAD_ROWS = [
     ("stage_probs.ndjson", lambda row: row.update(p="x")),
     ("stage_probs.ndjson", lambda row: row.update(p=["a"] * 13)),
     ("segmentation.ndjson", lambda row: row.update(map=5)),
+    ("stage_probs.ndjson", lambda row: row.pop("t")),
+    ("stage_probs.ndjson", lambda row: row.update(t="x")),
 ]
 
 
@@ -132,3 +134,11 @@ class TestBackendRows:
                    "--backends", str(backend), "--out", str(tmp_path / "r.json")])
         assert_one_line_error(capsys, rc)
         assert not (tmp_path / "r.json").exists()
+
+
+def test_stage_rows_out_of_time_order(tmp_path, embryo):
+    backend = edited_backend(
+        tmp_path, embryo, "stage_probs.ndjson", lambda row: row.update(t=1e9)
+    )
+    with pytest.raises(FormatError, match=r"stage_probs.ndjson: bad row at line 3: .*not after"):
+        read_backend_tables(backend)
