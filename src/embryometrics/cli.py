@@ -35,7 +35,7 @@ def cli():
     """Deterministic embryo-measurement pipeline tools."""
 
 
-def _load_synth_config(path: str | None) -> SynthConfig:
+def _load_synth_config(path: Path | str | None) -> SynthConfig:
     if path is None:
         return SynthConfig()
     obj = serialize.read_json(path)
@@ -93,6 +93,8 @@ def synth(config_path, out_dir, embryos, seed, jobs):
         )
         for i in range(embryos)
     ]
+    # One job stays in the calling thread: a worker thread's malloc arena
+    # keeps its freed memory, which raises peak RSS in a long-lived caller.
     if jobs == 1:
         for cfg in configs:
             write_bundle(out, cfg)
@@ -132,9 +134,7 @@ def run(movie_path, backends_arg, config_path, out_path):
             raise ValidationError(
                 f"--backends synth needs {synth_config_path} next to the manifest"
             )
-        synth_config = serialize.synth_config_from_obj(
-            serialize.read_json(synth_config_path)
-        )
+        synth_config = _load_synth_config(synth_config_path)
         _, truth = generate_movie(synth_config)
         suite = synth_backend_suite(truth, synth_config)
     else:

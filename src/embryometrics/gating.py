@@ -18,7 +18,7 @@ from .errors import (
     ValidationError,
     WrongArityError,
 )
-from .model import FragmentationScore, StageClass
+from .model import PLANE_COUNT, FragmentationScore, StageClass
 
 DEFAULT_FRAGMENTATION_THRESHOLD = 1.5
 
@@ -44,17 +44,17 @@ class GateDecision:
 def average_fragmentation(
     plane_scores: Sequence[FragmentationScore],
 ) -> FragmentationScore:
-    """Mean of the three middle-plane scores.
+    """Mean of the three middle-plane scores, or of the middle one alone.
 
     Each score lies in [0, 3] and float rounding is monotone, so the
-    mean does too.
+    mean does too. The mean of one score is that score, bit for bit.
     """
-    if len(plane_scores) != 3:
-        raise WrongArityError(f"expected 3 plane scores, got {len(plane_scores)}")
-    return FragmentationScore(sum(s.value for s in plane_scores) / 3.0)
+    if len(plane_scores) not in (1, 3):
+        raise WrongArityError(f"expected 1 or 3 plane scores, got {len(plane_scores)}")
+    return FragmentationScore(sum(s.value for s in plane_scores) / len(plane_scores))
 
 
-def middle_planes(plane_count: int = 7) -> tuple[int, int, int]:
+def middle_planes(plane_count: int = PLANE_COUNT) -> tuple[int, int, int]:
     """Indices of the three centered focal planes (0-based)."""
     if plane_count < 3 or plane_count % 2 == 0:
         raise PlaneCountError(f"plane count must be odd and >= 3, got {plane_count}")

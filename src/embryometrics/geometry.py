@@ -186,19 +186,14 @@ def crop_to_roi(grid: BinaryMask | SegmentationMap, roi: Roi):
     Raises:
         RoiBoundsError: the window does not lie inside the grid.
     """
-    if isinstance(grid, BinaryMask):
-        width, height = grid.width, grid.height
-    elif isinstance(grid, SegmentationMap):
-        width, height = grid.width, grid.height
-    else:
+    if not isinstance(grid, (BinaryMask, SegmentationMap)):
         raise ValidationError(f"cannot crop a {type(grid).__name__}")
-    if roi.x + roi.side > width or roi.y + roi.side > height:
+    if roi.x + roi.side > grid.width or roi.y + roi.side > grid.height:
         raise RoiBoundsError(
             f"ROI [{roi.x},{roi.x + roi.side})x[{roi.y},{roi.y + roi.side}) "
-            f"outside {width}x{height} grid"
+            f"outside {grid.width}x{grid.height} grid"
         )
-    if isinstance(grid, BinaryMask):
-        window = grid.to_array()[roi.y : roi.y + roi.side, roi.x : roi.x + roi.side]
-        return BinaryMask.from_array(window)
-    window = grid.labels[roi.y : roi.y + roi.side, roi.x : roi.x + roi.side]
-    return SegmentationMap(window)
+    window = (slice(roi.y, roi.y + roi.side), slice(roi.x, roi.x + roi.side))
+    if isinstance(grid, SegmentationMap):
+        return SegmentationMap(grid.labels[window])
+    return BinaryMask.from_array(grid.to_array()[window])

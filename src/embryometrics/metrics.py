@@ -23,6 +23,7 @@ from .errors import (
     NoTruthsError,
     ShapeMismatchError,
 )
+from .gating import DEFAULT_FRAGMENTATION_THRESHOLD
 from .geometry import iou_matrix
 from .model import (
     BinaryMask,
@@ -82,7 +83,7 @@ def pixel_accuracy(
 def fragmentation_metrics(
     preds: Sequence[float],
     labels: Sequence[int],
-    threshold: float = 1.5,
+    threshold: float = DEFAULT_FRAGMENTATION_THRESHOLD,
 ) -> tuple[float, float]:
     """(mean absolute deviation, low/high agreement fraction)."""
     p = np.asarray(preds, dtype=np.float64)

@@ -37,8 +37,26 @@ EXACT_SUM_ATOL = 1e-12
 
 NEGATIVE_CLAMP = -1e-9
 
+#: Focal planes per frame in every movie.
+PLANE_COUNT = 7
 
-class StageClass(IntEnum):
+
+class _Tokens:
+    """Enum mixin: the string token that stands for a member in files."""
+
+    @property
+    def token(self) -> str:
+        return self.name.lower()
+
+    @classmethod
+    def from_token(cls, token: str):
+        for member in cls:
+            if member.token == token:
+                return member
+        raise ValidationError(f"unknown {cls.__name__} token: {token!r}")
+
+
+class StageClass(_Tokens, IntEnum):
     """Developmental stage labels, in canonical index order."""
 
     CELL_1 = 0
@@ -69,32 +87,8 @@ class StageClass(IntEnum):
 
     @property
     def token(self) -> str:
-        return _STAGE_TOKENS[self]
+        return self.name.lower().replace("_", "")
 
-    @classmethod
-    def from_token(cls, token: str) -> "StageClass":
-        try:
-            return _STAGE_FROM_TOKEN[token]
-        except KeyError:
-            raise ValidationError(f"unknown stage class token: {token!r}") from None
-
-
-_STAGE_TOKENS = {
-    StageClass.CELL_1: "cell1",
-    StageClass.CELL_2: "cell2",
-    StageClass.CELL_3: "cell3",
-    StageClass.CELL_4: "cell4",
-    StageClass.CELL_5: "cell5",
-    StageClass.CELL_6: "cell6",
-    StageClass.CELL_7: "cell7",
-    StageClass.CELL_8: "cell8",
-    StageClass.CELL_9_PLUS: "cell9plus",
-    StageClass.MORULA: "morula",
-    StageClass.BLASTOCYST: "blastocyst",
-    StageClass.EMPTY: "empty",
-    StageClass.DEGENERATE: "degenerate",
-}
-_STAGE_FROM_TOKEN = {v: k for k, v in _STAGE_TOKENS.items()}
 
 #: The 11 classes a decoded trajectory may move along, in order.
 ORDERED_CLASSES: tuple[StageClass, ...] = tuple(
@@ -105,7 +99,7 @@ ORDERED_CLASSES: tuple[StageClass, ...] = tuple(
 EXCLUDED_CLASSES: tuple[StageClass, ...] = (StageClass.EMPTY, StageClass.DEGENERATE)
 
 
-class SegClass(IntEnum):
+class SegClass(_Tokens, IntEnum):
     """Per-pixel classes of the zona segmentation."""
 
     OUTSIDE_WELL = 0
@@ -113,35 +107,12 @@ class SegClass(IntEnum):
     ZONA = 2
     INSIDE_ZONA = 3
 
-    @property
-    def token(self) -> str:
-        return self.name.lower()
 
-    @classmethod
-    def from_token(cls, token: str) -> "SegClass":
-        for c in cls:
-            if c.token == token:
-                return c
-        raise ValidationError(f"unknown segmentation class token: {token!r}")
-
-
-class CandidateKind(IntEnum):
+class CandidateKind(_Tokens, IntEnum):
     """What an instance candidate outlines."""
 
     CELL = 0
     PRONUCLEUS = 1
-
-    @property
-    def token(self) -> str:
-        return "cell" if self is CandidateKind.CELL else "pronucleus"
-
-    @classmethod
-    def from_token(cls, token: str) -> "CandidateKind":
-        if token == "cell":
-            return cls.CELL
-        if token == "pronucleus":
-            return cls.PRONUCLEUS
-        raise ValidationError(f"unknown candidate kind: {token!r}")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -370,8 +341,8 @@ class InstanceCandidate:
             raise ValidationError("candidate mask must have positive area")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValidationError(f"confidence {self.confidence} outside [0, 1]")
-        if not 0 <= self.plane <= 6:
-            raise ValidationError(f"plane index {self.plane} outside 0..6")
+        if not 0 <= self.plane < PLANE_COUNT:
+            raise ValidationError(f"plane index {self.plane} outside 0..{PLANE_COUNT - 1}")
         bbox = tuple(int(v) for v in self.bbox)
         tight = self.mask.tight_bbox()
         if bbox != tight:
@@ -419,8 +390,10 @@ class Frame:
         for p in planes:
             if not isinstance(p, str):
                 raise ValidationError(f"plane reference {p!r} is not a string")
-        if len(planes) != 7:
-            raise ValidationError(f"frame needs exactly 7 plane refs, got {len(planes)}")
+        if len(planes) != PLANE_COUNT:
+            raise ValidationError(
+                f"frame needs exactly {PLANE_COUNT} plane refs, got {len(planes)}"
+            )
         object.__setattr__(self, "planes", planes)
         object.__setattr__(self, "time_minutes", float(self.time_minutes))
 

@@ -31,6 +31,7 @@ from .errors import (
     NoEmbryoError,
 )
 from .gating import (
+    DEFAULT_FRAGMENTATION_THRESHOLD,
     GateDecision,
     average_fragmentation,
     gate_embryo,
@@ -38,8 +39,16 @@ from .gating import (
     route_frame,
     Detector,
 )
-from .geometry import Roi, center_roi, embryo_roi, merge_across_planes
+from .geometry import (
+    DEFAULT_MERGE_IOU,
+    DEFAULT_ROI_SIDE,
+    Roi,
+    center_roi,
+    embryo_roi,
+    merge_across_planes,
+)
 from .metrics import (
+    DEFAULT_MATCH_IOU,
     EvaluationReport,
     FragmentationBlock,
     SegmentationBlock,
@@ -64,11 +73,11 @@ from .synth import GroundTruth
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    roi_side: int = 328
-    fragmentation_threshold: float = 1.5
+    roi_side: int = DEFAULT_ROI_SIDE
+    fragmentation_threshold: float = DEFAULT_FRAGMENTATION_THRESHOLD
     gate_aggregation: str = "median"  # or "mean"
-    merge_iou_threshold: float = 0.5
-    match_iou_threshold: float = 0.5  # evaluation operating point for P/R
+    merge_iou_threshold: float = DEFAULT_MERGE_IOU
+    match_iou_threshold: float = DEFAULT_MATCH_IOU  # evaluation operating point for P/R
     use_roi: bool = True
     use_focus_averaging: bool = True
     use_dp: bool = True
@@ -154,10 +163,9 @@ def run_pipeline(
     """
     size = movie.image_size
     n = len(movie)
-    plane_count = len(movie.frames[0].planes)
-    mid = plane_count // 2
-    frag_planes = middle_planes(plane_count) if config.use_focus_averaging else (mid,)
-    detect_planes = middle_planes(plane_count)
+    detect_planes = middle_planes()
+    mid = detect_planes[1]
+    frag_planes = detect_planes if config.use_focus_averaging else (mid,)
 
     # (1) zona segmentation and ROI, (2) fragmentation scores.
     seg_maps: list[SegmentationMap] = []
@@ -195,10 +203,7 @@ def run_pipeline(
             if not np.isfinite(raw):
                 raise BackendError("fragmentation", i, f"non-finite score {raw!r}")
             plane_scores.append(FragmentationScore(min(3.0, max(0.0, float(raw)))))
-        if len(plane_scores) == 3:
-            frag_scores.append(average_fragmentation(plane_scores))
-        else:
-            frag_scores.append(plane_scores[0])
+        frag_scores.append(average_fragmentation(plane_scores))
 
     gate = gate_embryo(
         frag_scores, config.fragmentation_threshold, config.gate_aggregation

@@ -180,14 +180,19 @@ def _record(cls: type, obj: Any, partial: bool = False) -> Any:
     return cls(**kwargs)
 
 
+#: What indexing or converting a malformed object raises; OverflowError
+#: is a number out of range for its type.
+_MALFORMED = (KeyError, TypeError, ValueError, IndexError, OverflowError)
+
+
 def _decoder(what: str, error: type[ValidationError] = FormatError):
     """Decorate a ``*_from_obj`` decoder so that a malformed object raises
-    ``error`` with one line naming ``what``.
+    one error reading ``bad <what>: <what is wrong>``.
 
-    A KeyError, TypeError, ValueError, IndexError or OverflowError (a
-    number out of range for its type) from indexing or converting the
-    object becomes ``error``; a ValidationError (itself a ValueError)
-    passes through unchanged.
+    A FormatError passes through, so nested decoders do not prefix it
+    twice. Another ValidationError, a value a model type rejects, is
+    raised again as its own class with the prefix, so exit codes do not
+    move. Any other ``_MALFORMED`` error becomes ``error``.
     """
 
     def wrap(decode):
@@ -195,9 +200,11 @@ def _decoder(what: str, error: type[ValidationError] = FormatError):
         def decoder(*args, **kwargs):
             try:
                 return decode(*args, **kwargs)
-            except ValidationError:
+            except FormatError:
                 raise
-            except (KeyError, TypeError, ValueError, IndexError, OverflowError) as e:
+            except ValidationError as e:
+                raise type(e)(f"bad {what}: {e}") from None
+            except _MALFORMED as e:
                 detail = f"missing key {e}" if isinstance(e, KeyError) else e
                 raise error(f"bad {what}: {detail}") from None
 
@@ -435,7 +442,7 @@ def read_backend_tables(backend_dir: Path | str) -> dict:
         for lineno, row in read_ndjson(path, _NDJSON_HEADER_KINDS[key]):
             try:
                 out.append(decode(row))
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
+            except _MALFORMED as e:
                 raise FormatError(
                     f"{path}: bad row at line {lineno}: {type(e).__name__}: {e}"
                 ) from None

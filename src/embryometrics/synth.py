@@ -35,6 +35,7 @@ from .model import (
     Frame,
     InstanceCandidate,
     ORDERED_CLASSES,
+    PLANE_COUNT,
     SegClass,
     SegmentationMap,
     StageClass,
@@ -84,7 +85,7 @@ class SynthConfig:
     embryo_id: str = "synth-0000"
     frames: int = 40
     image_size: int = 500
-    plane_count: int = 7
+    plane_count: int = PLANE_COUNT
     frame_interval_minutes: float = 20.0
     dwell_ranges: tuple[tuple[int, int], ...] = DEFAULT_DWELL_RANGES
     fragmentation_distribution: tuple[float, float, float, float] = (
@@ -105,9 +106,8 @@ class SynthConfig:
             raise InvalidConfigError("frames must be >= 1")
         if self.image_size < 48:
             raise InvalidConfigError("image_size must be >= 48 for the geometry")
-        if self.plane_count != 7:
-            # Movie manifests carry exactly 7 focal-plane references.
-            raise InvalidConfigError("plane_count must be 7")
+        if self.plane_count != PLANE_COUNT:
+            raise InvalidConfigError(f"plane_count must be {PLANE_COUNT}")
         if self.frame_interval_minutes <= 0:
             raise InvalidConfigError("frame interval must be positive")
         dwell = tuple((int(lo), int(hi)) for lo, hi in self.dwell_ranges)
