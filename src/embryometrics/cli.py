@@ -104,8 +104,7 @@ def synth(config_path, out_dir, embryos, seed, jobs):
     serialize.write_json(
         out / "index.json",
         {
-            "format_version": serialize.FORMAT_VERSION,
-            "kind": "synth_index",
+            **serialize._header("synth_index"),
             "base_seed": seed,
             "embryos": [cfg.embryo_id for cfg in configs],
         },

@@ -20,6 +20,7 @@ so the decoded path is unchanged and the oracle stays simple.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -179,19 +180,13 @@ def decode_monotone(matrix) -> TrajectoryResult:
     return _assemble(argmaxes, excluded, kept, path, _path_score(logp, path))
 
 
-_SEQUENCE_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _monotone_sequences(n: int) -> np.ndarray:
     """All non-decreasing length-n index sequences, lexicographically sorted."""
-    cached = _SEQUENCE_CACHE.get(n)
-    if cached is None:
-        cached = np.array(
-            list(itertools.combinations_with_replacement(range(N_ORDERED), n)),
-            dtype=np.int64,
-        )
-        _SEQUENCE_CACHE[n] = cached
-    return cached
+    return np.array(
+        list(itertools.combinations_with_replacement(range(N_ORDERED), n)),
+        dtype=np.int64,
+    )
 
 
 def brute_force_decode(matrix) -> TrajectoryResult:

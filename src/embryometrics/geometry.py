@@ -121,9 +121,12 @@ def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
 def iou_matrix(a: Sequence[BinaryMask], b: Sequence[BinaryMask]) -> np.ndarray:
     """(len(a), len(b)) mask IoU matrix, equal pair by pair to :func:`mask_iou`.
 
-    A pair's intersection lies inside both tight bounding boxes, so pixels
-    are counted only where the boxes overlap. IoU is the exact integer
-    intersection over the union, as in the dense reference.
+    Masks are never decoded. A foreground run [s, e) of one mask shares
+    C(e) - C(s) pixels with another, where C(x) counts the other mask's
+    foreground pixels below flat index x. C is flat between that mask's
+    runs and rises by one per pixel inside them, so ``np.interp`` with
+    knots at its run starts and stops gives it exactly. IoU is the exact
+    integer intersection over the union, as in the dense reference.
     """
     if not a or not b:
         return np.zeros((len(a), len(b)))
@@ -131,17 +134,18 @@ def iou_matrix(a: Sequence[BinaryMask], b: Sequence[BinaryMask]) -> np.ndarray:
     if len(dims) > 1:
         raise ShapeMismatchError(f"masks have mixed dimensions: {dims}")
 
-    def boxed(masks):
-        return [(m.tight_bbox() if m.area else (0, 0, 0, 0), m.to_array()) for m in masks]
-
+    runs = [m._foreground() for m in a]
+    starts, stops = (np.concatenate(ends) for ends in zip(*runs))
+    rows = np.repeat(np.arange(len(a)), [s.size for s, _ in runs])
     inter = np.zeros((len(a), len(b)), dtype=np.int64)
-    boxed_b = boxed(b)
-    for i, ((ax, ay, aw, ah), pa) in enumerate(boxed_b if a is b else boxed(a)):
-        for j, ((bx, by, bw, bh), pb) in enumerate(boxed_b):
-            y0, y1 = max(ay, by), min(ay + ah, by + bh)
-            x0, x1 = max(ax, bx), min(ax + aw, bx + bw)
-            if y0 < y1 and x0 < x1:
-                inter[i, j] = np.count_nonzero(pa[y0:y1, x0:x1] & pb[y0:y1, x0:x1])
+    for j, m in enumerate(b):
+        s, e = m._foreground()
+        if s.size:
+            counted = np.cumsum(e - s)
+            knots = np.column_stack((s, e)).ravel()
+            counts = np.column_stack((counted - (e - s), counted)).ravel()
+            shared = np.interp(stops, knots, counts) - np.interp(starts, knots, counts)
+            inter[:, j] = np.bincount(rows, weights=shared, minlength=len(a))
     union = np.array([[m.area] for m in a]) + np.array([m.area for m in b]) - inter
     return np.divide(inter, union, out=np.zeros(union.shape), where=union > 0)
 

@@ -303,17 +303,19 @@ class BinaryMask:
         """Foreground pixel count."""
         return int(sum(self.runs[1::2]))
 
+    def _foreground(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat start and (exclusive) stop index of each foreground run."""
+        ends = np.cumsum(self.runs)
+        return ends[:-1:2], ends[1::2]
+
     def tight_bbox(self) -> tuple[int, int, int, int]:
         """Tight (x, y, w, h) bounding box of the foreground, read off the
         runs without decoding the grid.
 
         Raises ValidationError on an empty mask.
         """
-        runs = np.asarray(self.runs)
-        ends = np.cumsum(runs)
-        # First and last flat pixel index of each foreground run.
-        first = (ends - runs)[1::2]
-        last = ends[1::2] - 1
+        first, stop = self._foreground()
+        last = stop - 1
         if first.size == 0:
             raise ValidationError("empty mask has no bounding box")
         w = self.width

@@ -15,7 +15,7 @@ Ablation flags turn off the ROI (full-frame window), focus averaging
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
@@ -95,7 +95,7 @@ class PipelineConfig:
                 raise InvalidConfigError(f"{name} must be in (0, 1]")
 
     def to_obj(self) -> dict:
-        return asdict(self)
+        return _to_json(self)
 
     @classmethod
     @_decoder("pipeline config", InvalidConfigError)

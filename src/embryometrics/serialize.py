@@ -340,7 +340,7 @@ def movie_to_obj(movie: EmbryoMovie) -> dict:
 @_decoder("movie manifest")
 def movie_from_obj(obj: Mapping) -> EmbryoMovie:
     body = _check_kind(obj, "movie_manifest")
-    return _record(EmbryoMovie, {"plane_spacing_um": 15.0, **body})
+    return _record(EmbryoMovie, {"plane_spacing_um": EmbryoMovie.plane_spacing_um, **body})
 
 
 def truth_to_obj(truth: GroundTruth) -> dict:

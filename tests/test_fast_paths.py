@@ -1,20 +1,31 @@
 """Each fast mask path against the slow reference it replaced.
 
-The bounding-box IoU kernel is checked against the dense `mask_iou`; the
-`np.repeat` mask decoder, the vectorised segmentation-map encoder and the
-run-based bounding box are checked against the code they replaced, kept
-here as references.
+The run-based IoU kernel is checked against the dense `mask_iou` and the
+bounding-box kernel it replaced; the `np.repeat` mask decoder, the
+vectorised segmentation-map encoder and the run-based bounding box are
+checked against the code they replaced. Replaced code is kept here as
+the reference.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from embryometrics import geometry
 from embryometrics.errors import ShapeMismatchError, ValidationError
 from embryometrics.gating import average_fragmentation
-from embryometrics.geometry import iou_matrix, mask_iou
+from embryometrics.geometry import iou_matrix, mask_iou, merge_across_planes
 from embryometrics.model import BinaryMask, FragmentationScore, SegmentationMap
 from embryometrics.serialize import seg_map_to_obj
+from embryometrics.synth import (
+    NoiseConfig,
+    SynthConfig,
+    _disk,
+    generate_movie,
+    render_model_outputs,
+)
 
 
 def loop_decode(mask: BinaryMask) -> np.ndarray:
@@ -40,6 +51,29 @@ def decode_bbox(mask: BinaryMask) -> tuple[int, int, int, int]:
     y0, y1 = int(rows[0]), int(rows[-1])
     x0, x1 = int(cols[0]), int(cols[-1])
     return (x0, y0, x1 - x0 + 1, y1 - y0 + 1)
+
+
+def boxed_iou_matrix(a, b) -> np.ndarray:
+    """The decode-and-count-inside-the-box-overlap `iou_matrix` used to be."""
+    if not a or not b:
+        return np.zeros((len(a), len(b)))
+    dims = {(m.width, m.height) for m in (*a, *b)}
+    if len(dims) > 1:
+        raise ShapeMismatchError(f"masks have mixed dimensions: {dims}")
+
+    def boxed(masks):
+        return [(m.tight_bbox() if m.area else (0, 0, 0, 0), m.to_array()) for m in masks]
+
+    inter = np.zeros((len(a), len(b)), dtype=np.int64)
+    boxed_b = boxed(b)
+    for i, ((ax, ay, aw, ah), pa) in enumerate(boxed_b if a is b else boxed(a)):
+        for j, ((bx, by, bw, bh), pb) in enumerate(boxed_b):
+            y0, y1 = max(ay, by), min(ay + ah, by + bh)
+            x0, x1 = max(ax, bx), min(ax + aw, bx + bw)
+            if y0 < y1 and x0 < x1:
+                inter[i, j] = np.count_nonzero(pa[y0:y1, x0:x1] & pb[y0:y1, x0:x1])
+    union = np.array([[m.area] for m in a]) + np.array([m.area for m in b]) - inter
+    return np.divide(inter, union, out=np.zeros(union.shape), where=union > 0)
 
 
 def comprehension_seg_runs(seg: SegmentationMap) -> list[list[int]]:
@@ -122,6 +156,115 @@ class TestIouMatrix:
         mask = BinaryMask.from_array(np.ones((2, 2)))
         assert iou_matrix([], [mask]).shape == (0, 1)
         assert iou_matrix([mask, mask], []).shape == (2, 0)
+
+
+GRID = 500
+
+
+@st.composite
+def synth_disks(draw) -> list[BinaryMask]:
+    """Disks on the synth grid, drawn with `synth._disk`: centres anywhere
+    on or off the grid, so disks clip at every edge; radii from sub-pixel
+    up; each later disk touches or overlaps the one before it."""
+    centre = st.one_of(
+        st.sampled_from([0.0, 0.5, GRID - 1.0, GRID - 0.5, float(GRID)]),
+        st.floats(-40.0, GRID + 40.0),
+    )
+    radius = st.one_of(st.floats(0.0, 1.5), st.floats(1.5, 90.0))
+    disks = [(draw(centre), draw(centre), draw(radius))]
+    for _ in range(draw(st.integers(0, 4))):
+        cx, cy, r = disks[-1]
+        r2 = draw(radius)
+        # Centre distance r + r2 touches; anything shorter overlaps.
+        d = r + r2 - draw(st.floats(-0.5, r + r2))
+        angle = draw(st.floats(0.0, 2 * math.pi))
+        disks.append((cx + d * math.cos(angle), cy + d * math.sin(angle), r2))
+    return [BinaryMask.from_array(_disk(GRID, *c)) for c in disks]
+
+
+def assert_three_kernels_agree(a, b):
+    iou = iou_matrix(a, b)
+    assert np.array_equal(iou, boxed_iou_matrix(a, b))
+    for i, ma in enumerate(a):
+        for j, mb in enumerate(b):
+            assert iou[i, j] == mask_iou(ma, mb)
+
+
+class TestRunKernel:
+    """`iou_matrix` reads overlaps off the runs; the dense `mask_iou` and
+    the bounding-box kernel it replaced must give the same floats."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(synth_disks(), st.data())
+    def test_synth_disks_equal_references(self, masks, data):
+        assert_three_kernels_agree(masks, masks)
+        split = data.draw(st.integers(0, len(masks)))
+        assert_three_kernels_agree(masks[:split], masks[split:])
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            # Full grid: one run ending at the last flat index.
+            ([[1, 1, 1], [1, 1, 1]], [[1, 1, 1], [1, 1, 1]], 1.0),
+            ([[1, 1, 1], [1, 1, 1]], [[0, 0, 0], [0, 1, 1]], 2 / 6),
+            ([[0, 0, 0], [0, 0, 1]], [[1, 1, 1], [1, 1, 1]], 1 / 6),
+            ([[1, 1, 1], [1, 1, 1]], [[0, 0, 0], [0, 0, 0]], 0.0),
+            # Runs that wrap across a row break.
+            ([[0, 0, 1], [1, 1, 0]], [[0, 0, 1], [0, 1, 1]], 2 / 4),
+            ([[0, 1, 1], [1, 0, 0]], [[0, 0, 0], [1, 0, 0]], 1 / 3),
+            ([[0, 0, 1], [1, 0, 0]], [[1, 0, 0], [0, 0, 1]], 0.0),
+            ([[0, 0, 1], [1, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 1, 1], [1, 0, 0]], 1 / 5),
+        ],
+    )
+    def test_hand_cases(self, a, b, expected):
+        ma = BinaryMask.from_array(np.array(a))
+        mb = BinaryMask.from_array(np.array(b))
+        assert iou_matrix([ma], [mb])[0, 0] == expected == mask_iou(ma, mb)
+        assert boxed_iou_matrix([ma], [mb])[0, 0] == expected
+        assert iou_matrix([mb], [ma])[0, 0] == expected
+
+    def test_empty_masks_on_either_side(self):
+        full = BinaryMask.from_array(np.ones((2, 3)))
+        empty = BinaryMask.from_array(np.zeros((2, 3)))
+        corner = BinaryMask.from_array(np.array([[0, 0, 0], [0, 0, 1]]))
+        masks = [empty, full, corner, empty]
+        iou = iou_matrix(masks, masks)
+        assert iou.tolist() == [
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 1 / 6, 0.0],
+            [0.0, 1 / 6, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+        assert np.array_equal(iou, boxed_iou_matrix(masks, masks))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_merge_matches_boxed_kernel(seed, monkeypatch):
+    """Merging noisy synth candidates through the run kernel keeps the
+    same survivors, in the same order, as through the boxed kernel."""
+    cfg = SynthConfig(
+        seed=seed,
+        frames=8,
+        noise=NoiseConfig(mask_jitter_px=3.0, confidence_sigma=0.05),
+    )
+    _, truth = generate_movie(cfg)
+    rendered = render_model_outputs(truth, cfg)
+    pools = [
+        [c for plane in sorted(frame) for c in frame[plane]]
+        for frame in (*rendered.cells, *rendered.pronuclei)
+    ]
+    pools = [pool for pool in pools if pool]
+    thresholds = (0.3, 0.5, 0.7, 0.9)
+    runs = [[merge_across_planes(p, t) for p in pools] for t in thresholds]
+    monkeypatch.setattr(geometry, "iou_matrix", boxed_iou_matrix)
+    boxed = [[merge_across_planes(p, t) for p in pools] for t in thresholds]
+    assert len(pools) >= 8
+    for merged, reference in zip(runs, boxed):
+        assert [list(map(id, m)) for m in merged] == [list(map(id, m)) for m in reference]
+    # The merge is not trivial: it drops candidates, yet keeps more than
+    # one per frame on average.
+    kept = sum(len(m) for m in runs[1])
+    assert len(pools) < kept < sum(len(p) for p in pools)
 
 
 class TestMaskDecode:
