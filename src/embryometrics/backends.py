@@ -16,7 +16,7 @@ resampling happens here.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -131,6 +131,16 @@ def synth_backend_suite(truth: GroundTruth, config: SynthConfig) -> BackendSuite
     )
 
 
+class _FileStages(_Table):
+    """Stage rows replayed from a file. ``rows`` keeps the file's path and
+    row times, so that a caller holding the movie can check them with
+    ``rows.check_times(movie.times)``."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.rows = rows
+
+
 def file_backend_suite(bundle_dir: Path | str) -> BackendSuite:
     """Replay precomputed outputs from a bundle directory.
 
@@ -140,4 +150,5 @@ def file_backend_suite(bundle_dir: Path | str) -> BackendSuite:
     d = Path(bundle_dir)
     if (d / "backend").is_dir():
         d = d / "backend"
-    return suite_from_tables(**read_backend_tables(d))
+    tables = read_backend_tables(d)
+    return replace(suite_from_tables(**tables), stage=_FileStages(tables["stage"]))

@@ -3,6 +3,8 @@ precomputed backend outputs, confusion matrices, and evaluation reports.
 
 All JSON is written canonically (sorted keys, compact separators, bare
 floats via repr) so identical inputs produce byte-identical files.
+Bulk reads and writes run with the cyclic garbage collector paused
+(``_gc_paused``), which changes their speed and no byte.
 Binary masks are stored as row-major run-length encodings starting with
 the background run; 4-class maps as (label, count) run pairs.
 
@@ -13,9 +15,12 @@ types, rejecting unknown, missing and wrong-typed keys at every depth.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
+import gc
 import json
+import threading
 from collections import abc
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
@@ -35,7 +40,7 @@ from typing import (
 
 import numpy as np
 
-from .errors import FormatError, InvalidConfigError, ValidationError
+from .errors import BackendError, FormatError, InvalidConfigError, ValidationError
 from .metrics import EvaluationReport
 from .model import (
     BinaryMask,
@@ -211,6 +216,42 @@ def _decoder(what: str, error: type[ValidationError] = FormatError):
         return decoder
 
     return wrap
+
+
+_gc_pause_lock = threading.Lock()
+_gc_pause_depth = 0
+_gc_was_enabled = False
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """No cyclic garbage collection inside the block.
+
+    A parsed or built JSON tree of seg-map runs holds up to ~1M small
+    lists that cannot form cycles, and the collector would walk them
+    again and again. Reference counting still frees everything as
+    usual, so no result or output byte changes.
+
+    GC state belongs to the whole process. Pauses that overlap, nested
+    in one thread or in several threads (``synth --jobs N``), count as
+    one: the first to enter records ``gc.isenabled()`` and disables GC,
+    the last to leave restores the recorded state, also on an exception.
+    Code outside any pause that turns GC back on costs at most a missed
+    pause, never a different result.
+    """
+    global _gc_pause_depth, _gc_was_enabled
+    with _gc_pause_lock:
+        if _gc_pause_depth == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_pause_depth += 1
+    try:
+        yield
+    finally:
+        with _gc_pause_lock:
+            _gc_pause_depth -= 1
+            if _gc_pause_depth == 0 and _gc_was_enabled:
+                gc.enable()
 
 
 def _header(kind: str) -> dict:
@@ -390,6 +431,39 @@ class _StageRow:
     p: np.ndarray
 
 
+class _StageTable(dict):
+    """Stage probability rows by frame index, with the file they were
+    read from and each row's time ``t``."""
+
+    def __init__(self, path: Path, rows: Sequence[_StageRow]):
+        super().__init__(enumerate(r.p for r in rows))
+        self.path = path
+        self.times = tuple(r.t for r in rows)
+
+    def check_times(self, times: Sequence[float]) -> None:
+        """Match the rows to the frames at ``times`` by time, naming the
+        file on a mismatch.
+
+        A row at no frame's time is a FormatError. A frame without a row
+        is a BackendError, as a missing segmentation or fragmentation
+        entry is. Rows increase in time, so once both checks pass, row
+        ``i`` is frame ``i``'s.
+        """
+        frames = set(times)
+        for k, t in enumerate(self.times, 1):
+            if t not in frames:
+                raise FormatError(
+                    f"{self.path}: stage row {k} has t {t!r}, no frame's time"
+                )
+        rows = set(self.times)
+        for i, t in enumerate(times):
+            if t not in rows:
+                raise BackendError(
+                    "stage_classification", i, f"{self.path} has no row at t {t!r}"
+                )
+
+
+@_gc_paused()
 def write_backend_files(
     out_dir: Path | str,
     rendered: RenderedOutputs,
@@ -424,13 +498,15 @@ def write_backend_files(
         write_ndjson(out / BACKEND_FILES[key], data, kind=_NDJSON_HEADER_KINDS[key])
 
 
+@_gc_paused()
 def read_backend_tables(backend_dir: Path | str) -> dict:
     """Load the five backend files into lookup tables.
 
     Returns a dict with keys seg, frag, stage, cells, pronuclei; seg and
     frag are keyed by (frame, plane), stage by frame, and the candidate
     tables by (frame, plane) with missing keys meaning no detections.
-    Stage rows must come in strictly increasing time ``t``.
+    Stage rows must come in strictly increasing time ``t``; the stage
+    table keeps each row's time for ``check_times``.
     """
     d = Path(backend_dir)
 
@@ -450,12 +526,12 @@ def read_backend_tables(backend_dir: Path | str) -> dict:
 
     times: list[float] = []
 
-    def stage_row(obj: Any) -> np.ndarray:
+    def stage_row(obj: Any) -> _StageRow:
         row = _record(_StageRow, obj)
         if times and not row.t > times[-1]:
             raise ValueError(f"t {row.t!r} is not after the previous row's {times[-1]!r}")
         times.append(row.t)
-        return row.p
+        return row
 
     def candidate_row(obj: Any) -> tuple:
         body = dict(_typed(obj, dict))
@@ -468,7 +544,9 @@ def read_backend_tables(backend_dir: Path | str) -> dict:
     tables = {
         "seg": {(r.frame, r.plane): r.map for r in seg},
         "frag": {(r.frame, r.plane): float(r.score) for r in frag},
-        "stage": dict(enumerate(decoded("stage_probs", stage_row))),
+        "stage": _StageTable(
+            d / BACKEND_FILES["stage_probs"], decoded("stage_probs", stage_row)
+        ),
     }
     for key in ("cells", "pronuclei"):
         table: dict = {}
