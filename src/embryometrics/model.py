@@ -241,12 +241,6 @@ class SegmentationMap:
         return int(self.labels.shape[0])
 
 
-def run_lengths(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value and length of each maximal run of equal values in a 1-D array."""
-    starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
-    return flat[starts], np.diff(np.append(starts, flat.size))
-
-
 @dataclass(frozen=True)
 class BinaryMask:
     """A binary mask stored as row-major run-length encoding.
@@ -285,11 +279,19 @@ class BinaryMask:
         a = np.asarray(arr)
         if a.ndim != 2 or a.size == 0:
             raise ValidationError("mask must be a non-empty 2-D grid")
-        values, counts = run_lengths((a != 0).ravel())
-        runs = counts.tolist()
-        if values[0]:
-            runs = [0] + runs
-        return cls(width=int(a.shape[1]), height=int(a.shape[0]), runs=tuple(runs))
+        return cls._from_window(a.shape[1], a.shape[0], 0, 0, a != 0)
+
+    @classmethod
+    def _from_window(
+        cls, width: int, height: int, x0: int, y0: int, window: np.ndarray
+    ) -> "BinaryMask":
+        """Encode a boolean window at (x0, y0) on an empty width x height grid.
+        Row edges become flat run starts and stops (the inverse of `_foreground`);
+        an edge that is a stop and the next start (a run across rows) drops."""
+        r, c = np.nonzero(np.diff(window, axis=1, prepend=False, append=False))
+        edges, seen = np.unique((r + y0) * width + c + x0, return_counts=True)
+        runs = np.diff(edges[seen == 1], prepend=0, append=width * height)
+        return cls(width, height, tuple(np.trim_zeros(runs, "b").tolist()))
 
     def to_array(self) -> np.ndarray:
         """Decode to a (height, width) boolean array."""

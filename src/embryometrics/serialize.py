@@ -49,7 +49,6 @@ from .model import (
     FragmentationScore,
     InstanceCandidate,
     SegmentationMap,
-    run_lengths,
 )
 from .synth import GroundTruth, RenderedOutputs, SynthConfig
 
@@ -266,11 +265,22 @@ def write_json(path: Path | str, obj: Any) -> None:
     Path(path).write_text(canonical_dumps(obj) + "\n")
 
 
+def _non_finite(token: str):
+    """NaN and Infinity, which Python's json reads, are not JSON numbers."""
+    raise ValueError(f"{token} is not a JSON number")
+
+
+_json_decode = json.JSONDecoder(parse_constant=_non_finite).decode
+
+
 def read_json(path: Path | str) -> Any:
+    text = Path(path).read_text()
     try:
-        return json.loads(Path(path).read_text())
+        return _json_decode(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
+    except ValueError as e:
+        raise FormatError(f"{path}: invalid JSON: {e}") from None
 
 
 def write_ndjson(
@@ -291,9 +301,10 @@ def read_ndjson(path: Path | str, kind: str) -> list[tuple[int, Any]]:
             if not line:
                 continue
             try:
-                rows.append((lineno, json.loads(line)))
-            except json.JSONDecodeError as e:
-                raise FormatError(f"{path}: invalid JSON at line {lineno}: {e.msg}") from None
+                rows.append((lineno, _json_decode(line)))
+            except ValueError as e:
+                msg = e.msg if isinstance(e, json.JSONDecodeError) else e
+                raise FormatError(f"{path}: invalid JSON at line {lineno}: {msg}") from None
     if not rows:
         raise FormatError(f"{path} is empty (missing header line)")
     _check_kind(rows[0][1], kind)
@@ -340,8 +351,9 @@ def mask_from_obj(obj: Mapping) -> BinaryMask:
 
 
 def seg_map_to_obj(seg: SegmentationMap) -> dict:
-    values, counts = run_lengths(seg.labels.ravel())
-    runs = np.column_stack((values, counts)).tolist()
+    flat = seg.labels.ravel()
+    starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+    runs = np.column_stack((flat[starts], np.diff(starts, append=flat.size))).tolist()
     return {"w": seg.width, "h": seg.height, "runs": runs}
 
 

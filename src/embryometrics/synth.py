@@ -108,8 +108,8 @@ class SynthConfig:
             raise InvalidConfigError("image_size must be >= 48 for the geometry")
         if self.plane_count != PLANE_COUNT:
             raise InvalidConfigError(f"plane_count must be {PLANE_COUNT}")
-        if self.frame_interval_minutes <= 0:
-            raise InvalidConfigError("frame interval must be positive")
+        if not 0 < self.frame_interval_minutes < math.inf:
+            raise InvalidConfigError("frame interval must be positive and finite")
         dwell = tuple((int(lo), int(hi)) for lo, hi in self.dwell_ranges)
         if len(dwell) != len(ORDERED_CLASSES):
             raise InvalidConfigError(
@@ -125,24 +125,26 @@ class SynthConfig:
         ):
             d = tuple(float(x) for x in getattr(self, attr))
             total = sum(d)
-            if len(d) != arity or any(x < 0 for x in d) or abs(total - 1.0) > 0.05:
+            finite = all(0 <= x < math.inf for x in d)
+            if len(d) != arity or not finite or abs(total - 1.0) > 0.05:
                 raise InvalidConfigError(
-                    f"{name} distribution must be {arity} non-negative "
+                    f"{name} distribution must be {arity} non-negative finite "
                     "values summing to ~1"
                 )
             object.__setattr__(self, attr, tuple(x / total for x in d))
         n = self.noise
-        if min(
+        sigmas = (
             n.logit_sigma,
             n.mask_jitter_px,
             n.confidence_sigma,
             n.fragmentation_sigma,
-        ) < 0:
-            raise InvalidConfigError("noise sigmas must be >= 0")
+        )
+        if not all(0 <= s < math.inf for s in sigmas):
+            raise InvalidConfigError("noise sigmas must be >= 0 and finite")
         if not 0.0 <= n.seg_flip_rate <= 1.0:
             raise InvalidConfigError("seg_flip_rate must be in [0, 1]")
-        if n.logit_scale <= 0:
-            raise InvalidConfigError("logit_scale must be positive")
+        if not 0 < n.logit_scale < math.inf:
+            raise InvalidConfigError("logit_scale must be positive and finite")
         object.__setattr__(self, "dwell_ranges", dwell)
         object.__setattr__(self, "frames", int(self.frames))
         object.__setattr__(self, "image_size", int(self.image_size))
@@ -206,9 +208,17 @@ def derive_embryo_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _disk(size: int, cx: float, cy: float, r: float) -> np.ndarray:
-    yy, xx = np.ogrid[:size, :size]
-    return (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+def _disk(size: int, cx: float, cy: float, r: float):
+    """The disk's box, clipped to the grid, and its pixels within r of (cx, cy)."""
+    x0, y0 = (min(max(math.floor(v - r), 0), size) for v in (cx, cy))
+    x1, y1 = (min(max(math.ceil(v + r) + 1, 0), size) for v in (cx, cy))
+    yy, xx = np.ogrid[y0:y1, x0:x1]
+    return np.s_[y0:y1, x0:x1], (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+
+
+def _disk_mask(size: int, cx: float, cy: float, r: float) -> BinaryMask:
+    (rows, cols), inside = _disk(size, cx, cy, r)
+    return BinaryMask._from_window(size, size, cols.start, rows.start, inside)
 
 
 def _sample_stages(rng: np.random.Generator, config: SynthConfig):
@@ -281,7 +291,6 @@ def generate_movie(config: SynthConfig) -> tuple[EmbryoMovie, GroundTruth]:
 
     zona_outer = ZONA_OUTER_FRACTION * size
     zona_inner = ZONA_INNER_FRACTION * size
-    well_r = WELL_RADIUS_FRACTION * size
 
     base = size / 2.0 + rng.uniform(-0.02 * size, 0.02 * size, size=2)
     drift = np.cumsum(rng.normal(0.0, 0.002 * size, size=(config.frames, 2)), axis=0)
@@ -295,13 +304,14 @@ def generate_movie(config: SynthConfig) -> tuple[EmbryoMovie, GroundTruth]:
     cell_circles = []
     pn_masks = []
     pn_circles = []
-    well = _disk(size, size / 2.0, size / 2.0, well_r)
+    well_box, well = _disk(size, size / 2.0, size / 2.0, WELL_RADIUS_FRACTION * size)
     for i, stage in enumerate(stages):
         cx, cy = float(centers[i, 0]), float(centers[i, 1])
         labels = np.full((size, size), SegClass.OUTSIDE_WELL, dtype=np.uint8)
-        labels[well] = SegClass.INSIDE_WELL
-        labels[_disk(size, cx, cy, zona_outer)] = SegClass.ZONA
-        labels[_disk(size, cx, cy, zona_inner)] = SegClass.INSIDE_ZONA
+        labels[well_box][well] = SegClass.INSIDE_WELL
+        for r, label in (zona_outer, SegClass.ZONA), (zona_inner, SegClass.INSIDE_ZONA):
+            box, inside = _disk(size, cx, cy, r)
+            labels[box][inside] = label
         seg_maps.append(SegmentationMap(labels))
 
         count = stage.cell_count
@@ -314,9 +324,7 @@ def generate_movie(config: SynthConfig) -> tuple[EmbryoMovie, GroundTruth]:
                 for k, (dx, dy, r) in enumerate(layout)
             ]
         cell_circles.append(tuple(circles))
-        cell_masks.append(
-            tuple(BinaryMask.from_array(_disk(size, *c)) for c in circles)
-        )
+        cell_masks.append(tuple(_disk_mask(size, *c) for c in circles))
 
         pn: list[Circle] = []
         n_pn = pronuclei_per_frame.get(i, 0)
@@ -334,7 +342,7 @@ def generate_movie(config: SynthConfig) -> tuple[EmbryoMovie, GroundTruth]:
                 for s in signs
             ]
         pn_circles.append(tuple(pn))
-        pn_masks.append(tuple(BinaryMask.from_array(_disk(size, *c)) for c in pn))
+        pn_masks.append(tuple(_disk_mask(size, *c) for c in pn))
 
     frames = tuple(
         Frame(
@@ -364,12 +372,6 @@ def generate_movie(config: SynthConfig) -> tuple[EmbryoMovie, GroundTruth]:
     return movie, truth
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def _noisy_candidates(
     rng: np.random.Generator,
     circles: Sequence[Circle],
@@ -390,7 +392,7 @@ def _noisy_candidates(
             r = max(r, MIN_MASK_RADIUS)
             cx = float(np.clip(cx, r + 1.0, size - 2.0 - r))
             cy = float(np.clip(cy, r + 1.0, size - 2.0 - r))
-            mask = BinaryMask.from_array(_disk(size, cx, cy, r))
+            mask = _disk_mask(size, cx, cy, r)
             confidence = float(iou_matrix([mask], [truth_masks[k]])[0, 0])
             if noise.confidence_sigma > 0:
                 confidence += float(rng.normal(0.0, noise.confidence_sigma))
@@ -426,14 +428,12 @@ def render_model_outputs(
     pronuclei = []
     for i, stage in enumerate(truth.stages):
         # Stage probabilities.
-        if noise.logit_sigma == 0:
-            vec = np.zeros(13)
-            vec[int(stage)] = 1.0
-        else:
-            logits = np.zeros(13)
-            logits[int(stage)] = noise.logit_scale
-            logits = logits + rng.normal(0.0, noise.logit_sigma, size=13)
-            vec = _softmax(logits)
+        vec = np.zeros(13)
+        vec[int(stage)] = 1.0
+        if noise.logit_sigma > 0:
+            logits = vec * noise.logit_scale + rng.normal(0.0, noise.logit_sigma, size=13)
+            e = np.exp(logits - logits.max())
+            vec = e / e.sum()
         probs.append(vec)
 
         # Fragmentation scores on the middle planes.

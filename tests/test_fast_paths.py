@@ -22,10 +22,11 @@ from embryometrics.serialize import seg_map_to_obj
 from embryometrics.synth import (
     NoiseConfig,
     SynthConfig,
-    _disk,
     generate_movie,
     render_model_outputs,
 )
+
+from conftest import disk_array
 
 
 def loop_decode(mask: BinaryMask) -> np.ndarray:
@@ -163,7 +164,7 @@ GRID = 500
 
 @st.composite
 def synth_disks(draw) -> list[BinaryMask]:
-    """Disks on the synth grid, drawn with `synth._disk`: centres anywhere
+    """Disks on the synth grid, drawn with `conftest.disk_array`: centres anywhere
     on or off the grid, so disks clip at every edge; radii from sub-pixel
     up; each later disk touches or overlaps the one before it."""
     centre = st.one_of(
@@ -179,7 +180,7 @@ def synth_disks(draw) -> list[BinaryMask]:
         d = r + r2 - draw(st.floats(-0.5, r + r2))
         angle = draw(st.floats(0.0, 2 * math.pi))
         disks.append((cx + d * math.cos(angle), cy + d * math.sin(angle), r2))
-    return [BinaryMask.from_array(_disk(GRID, *c)) for c in disks]
+    return [BinaryMask.from_array(disk_array(GRID, *c)) for c in disks]
 
 
 def assert_three_kernels_agree(a, b):
