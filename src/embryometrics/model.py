@@ -398,8 +398,11 @@ class Frame:
             raise ValidationError(
                 f"frame needs exactly {PLANE_COUNT} plane refs, got {len(planes)}"
             )
+        t = float(self.time_minutes)
+        if not np.isfinite(t):
+            raise ValidationError(f"frame time {t!r} is not finite")
         object.__setattr__(self, "planes", planes)
-        object.__setattr__(self, "time_minutes", float(self.time_minutes))
+        object.__setattr__(self, "time_minutes", t)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ floats via repr) so identical inputs produce byte-identical files.
 Bulk reads and writes run with the cyclic garbage collector paused
 (``_gc_paused``), which changes their speed and no byte.
 Binary masks are stored as row-major run-length encodings starting with
-the background run; 4-class maps as (label, count) run pairs.
+the background run; 4-class maps as (label, count) run pairs. A map's
+runs are written as JSON text that numpy builds (``_seg_runs_text``) and
+``canonical_dumps`` splices in, so no write builds a list per run.
 
 Every other record is read off its dataclass: ``_to_json`` writes it
 field by field, and ``_record`` reads it back by the declared field
@@ -25,6 +27,7 @@ from collections import abc
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from types import UnionType
 from typing import (
@@ -101,7 +104,7 @@ def _to_json(value: Any) -> Any:
     if isinstance(value, BinaryMask):
         return mask_to_obj(value)
     if isinstance(value, SegmentationMap):
-        return seg_map_to_obj(value)
+        return {"w": value.width, "h": value.height, "runs": _Text(_seg_runs_text(value))}
     if isinstance(value, FragmentationScore):
         return value.value
     if isinstance(value, np.ndarray):
@@ -226,10 +229,11 @@ _gc_was_enabled = False
 def _gc_paused():
     """No cyclic garbage collection inside the block.
 
-    A parsed or built JSON tree of seg-map runs holds up to ~1M small
-    lists that cannot form cycles, and the collector would walk them
-    again and again. Reference counting still frees everything as
-    usual, so no result or output byte changes.
+    A parsed JSON tree of seg-map runs holds up to ~1M small lists that
+    cannot form cycles, and the collector would walk them again and
+    again; a built tree, whose maps are text, holds far fewer. Reference
+    counting still frees everything as usual, so no result or output
+    byte changes.
 
     GC state belongs to the whole process. Pauses that overlap, nested
     in one thread or in several threads (``synth --jobs N``), count as
@@ -257,8 +261,29 @@ def _header(kind: str) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": kind}
 
 
+class _Text(str):
+    """JSON text that ``canonical_dumps`` writes as it is, unquoted."""
+
+
+def _string(s: str) -> str:
+    """A ``_Text`` as it is, chosen by its type and never by its content;
+    any other string quoted as ``json.dumps`` quotes it."""
+    return s if type(s) is _Text else encode_basestring_ascii(s)
+
+
+_not_json = json.JSONEncoder().default
+
+
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, with
+    every ``_Text`` spliced in unquoted.
+
+    The C encoder gets the arguments ``json.dumps`` gives it, except the
+    string hook, and a fresh markers dict on each call, so a circular
+    reference is still an error.
+    """
+    encode = c_make_encoder({}, _not_json, _string, None, ":", ",", True, False, True)
+    return "".join(encode(obj, 0))
 
 
 def write_json(path: Path | str, obj: Any) -> None:
@@ -350,17 +375,51 @@ def mask_from_obj(obj: Mapping) -> BinaryMask:
     )
 
 
-def seg_map_to_obj(seg: SegmentationMap) -> dict:
+# 10, 100, ..., 10**18: a count has one digit more than the powers it reaches.
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _seg_runs_text(seg: SegmentationMap) -> str:
+    """``seg``'s runs as the JSON text ``[[label,count],...]``.
+
+    Run ``i`` fills the bytes ``[L,<digits>],`` from ``at[i]``: its label
+    digit ``L`` (labels are 0..3), then its count's ``n[i]`` digits,
+    written one decimal place at a time over all runs that have it. The
+    last run's ``,`` becomes the closing ``]``.
+    """
     flat = seg.labels.ravel()
     starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
-    runs = np.column_stack((flat[starts], np.diff(starts, append=flat.size))).tolist()
-    return {"w": seg.width, "h": seg.height, "runs": runs}
+    counts = np.diff(starts, append=flat.size)
+    n = np.searchsorted(_POWERS_OF_TEN, counts, side="right") + 1
+    size = n + 5
+    at = 1 + np.cumsum(size) - size
+    end = at + 3 + n  # one past each count's last digit
+    buf = np.empty(end[-1] + 2, dtype=np.uint8)
+    buf[0] = ord("[")
+    buf[at] = ord("[")
+    buf[at + 1] = flat[starts] + ord("0")
+    buf[at + 2] = ord(",")
+    buf[end] = ord("]")
+    buf[end + 1] = ord(",")
+    buf[-1] = ord("]")
+    for k in range(int(n.max())):
+        has = n > k
+        buf[end[has] - 1 - k] = counts[has] // 10**k % 10 + ord("0")
+    return buf.tobytes().decode("ascii")
+
+
+def seg_map_to_obj(seg: SegmentationMap) -> dict:
+    """``seg`` with its runs as ``[label, count]`` lists, parsed from the
+    text every writer splices in."""
+    obj = _to_json(seg)
+    return {**obj, "runs": json.loads(obj["runs"])}
 
 
 @_decoder("segmentation map")
 def seg_map_from_obj(obj: Mapping) -> SegmentationMap:
     w, h = _typed(obj["w"], int), _typed(obj["h"], int)
-    runs = _typed(obj["runs"], list)
+    runs = obj["runs"]
+    runs = _typed(json.loads(runs) if type(runs) is _Text else runs, list)
     if set(map(len, runs)) != {2}:
         raise TypeError("expected a list of [label, count] pairs")
     values = _integers(list(chain.from_iterable(runs)))
