@@ -22,9 +22,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import BackendError
 from .geometry import Roi
 from .model import EmbryoMovie, InstanceCandidate, SegmentationMap
-from .serialize import read_backend_tables
+from .serialize import BACKEND_FILES, read_backend_tables
 from .synth import GroundTruth, SynthConfig, render_model_outputs
 
 
@@ -131,6 +132,24 @@ def synth_backend_suite(truth: GroundTruth, config: SynthConfig) -> BackendSuite
     )
 
 
+class _FilePlanes(_Table):
+    """Seg maps or fragmentation scores replayed from the file at ``path``
+    for the pipeline stage ``stage``; a missing entry is a BackendError
+    naming the file, as a missing stage row is."""
+
+    def __init__(self, table, stage: str, path: Path):
+        super().__init__(table)
+        self._stage, self._path = stage, path
+
+    def _get(self, key):
+        if key not in self._table:
+            frame, plane = key
+            raise BackendError(
+                self._stage, frame, f"{self._path} has no row for frame {frame}, plane {plane}"
+            )
+        return self._table[key]
+
+
 class _FileStages(_Table):
     """Stage rows replayed from a file. ``rows`` keeps the file's path and
     row times, so that a caller holding the movie can check them with
@@ -151,4 +170,13 @@ def file_backend_suite(bundle_dir: Path | str) -> BackendSuite:
     if (d / "backend").is_dir():
         d = d / "backend"
     tables = read_backend_tables(d)
-    return replace(suite_from_tables(**tables), stage=_FileStages(tables["stage"]))
+    return replace(
+        suite_from_tables(**tables),
+        segmenter=_FilePlanes(
+            tables["seg"], "zona_segmentation", d / BACKEND_FILES["segmentation"]
+        ),
+        fragmentation=_FilePlanes(
+            tables["frag"], "fragmentation", d / BACKEND_FILES["fragmentation"]
+        ),
+        stage=_FileStages(tables["stage"]),
+    )

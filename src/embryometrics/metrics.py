@@ -202,8 +202,8 @@ def _average_precisions(
     preds_per_image: Sequence[Sequence[InstanceCandidate]],
     truths_per_image: Sequence[Sequence[BinaryMask]],
     iou_thresholds: Sequence[float],
-) -> list[float]:
-    """AP at each threshold, from one IoU matrix per image."""
+) -> tuple[list[float], list[np.ndarray]]:
+    """AP at each threshold, and the one IoU matrix per image it came from."""
     if len(preds_per_image) != len(truths_per_image):
         raise LengthMismatchError(
             f"{len(preds_per_image)} prediction lists vs "
@@ -227,7 +227,7 @@ def _average_precisions(
             for j in _greedy_assign(iou, image, threshold)
         ]
         aps.append(_average_precision(np.asarray(flags)[order], n_truths))
-    return aps
+    return aps, ious
 
 
 def average_precision_at(
@@ -236,7 +236,8 @@ def average_precision_at(
     iou_threshold: float,
 ) -> float:
     """AP at one IoU threshold, pooling predictions across images."""
-    return _average_precisions(preds_per_image, truths_per_image, [iou_threshold])[0]
+    aps, _ = _average_precisions(preds_per_image, truths_per_image, [iou_threshold])
+    return aps[0]
 
 
 def mean_average_precision(
@@ -244,7 +245,7 @@ def mean_average_precision(
     truths_per_image: Sequence[Sequence[BinaryMask]],
 ) -> float:
     """Mean AP over IoU thresholds 0.50, 0.55, ..., 0.95."""
-    aps = _average_precisions(preds_per_image, truths_per_image, MAP_IOU_THRESHOLDS)
+    aps, _ = _average_precisions(preds_per_image, truths_per_image, MAP_IOU_THRESHOLDS)
     return float(np.mean(aps))
 
 
@@ -263,16 +264,15 @@ def detection_block(
     if n_truths == 0 and n_preds == 0:
         return None
     try:
-        mean_ap = mean_average_precision(preds_per_frame, truths_per_frame)
+        aps, ious = _average_precisions(preds_per_frame, truths_per_frame, MAP_IOU_THRESHOLDS)
     except NoTruthsError:
         return None
-    n_matched = 0
+    # The operating point is ``match_instances`` on the matrices mAP used.
     ratios: list[float] = []
-    for preds, truths in zip(preds_per_frame, truths_per_frame):
-        match = match_instances(preds, truths, match_iou_threshold)
-        n_matched += match.n_matched
-        if match.n_matched:
-            ratios.extend(area_ratio_stats(match, preds, truths).ratios)
+    for preds, truths, iou in zip(preds_per_frame, truths_per_frame, ious):
+        assigned = _greedy_assign(iou, [c.confidence for c in preds], match_iou_threshold)
+        ratios += (preds[i].mask.area / truths[j].area for i, j in enumerate(assigned) if j >= 0)
+    n_matched = len(ratios)
     ratio_mean = within = None
     if ratios:
         stats = AreaRatioStats(ratios=tuple(ratios))
@@ -281,7 +281,7 @@ def detection_block(
     return DetectionBlock(
         precision=n_matched / n_preds if n_preds > 0 else None,
         recall=n_matched / n_truths if n_truths > 0 else None,
-        mean_ap=mean_ap,
+        mean_ap=float(np.mean(aps)),
         n_predictions=n_preds,
         n_truths=n_truths,
         n_matched=n_matched,

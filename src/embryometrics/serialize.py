@@ -8,7 +8,12 @@ Bulk reads and writes run with the cyclic garbage collector paused
 Binary masks are stored as row-major run-length encodings starting with
 the background run; 4-class maps as (label, count) run pairs. A map's
 runs are written as JSON text that numpy builds (``_seg_runs_text``) and
-``canonical_dumps`` splices in, so no write builds a list per run.
+``canonical_dumps`` splices in, so no write builds a list per run. Reads
+mirror this: ``_loads`` cuts each runs value in that canonical form out
+of the text and parses it with numpy (``_runs_arrays``), so no read of a
+canonical file builds a list per run either. Any other spelling sends
+the whole text to ``json``, which reads it, or rejects it, as before.
+What a canonical file reads to writes back to the same bytes.
 
 Every other record is read off its dataclass: ``_to_json`` writes it
 field by field, and ``_record`` reads it back by the declared field
@@ -229,11 +234,13 @@ _gc_was_enabled = False
 def _gc_paused():
     """No cyclic garbage collection inside the block.
 
-    A parsed JSON tree of seg-map runs holds up to ~1M small lists that
-    cannot form cycles, and the collector would walk them again and
-    again; a built tree, whose maps are text, holds far fewer. Reference
-    counting still frees everything as usual, so no result or output
-    byte changes.
+    A JSON tree whose seg-map runs are lists, as in a file that does not
+    spell them canonically, holds up to ~1M small lists that cannot form
+    cycles, and the collector would walk them again and again. Canonical
+    files are read and written with a few objects per map (its runs as
+    text, and arrays), so for them the pause no longer changes the speed
+    measurably. Reference counting still frees everything as usual, so
+    no result or output byte changes.
 
     GC state belongs to the whole process. Pauses that overlap, nested
     in one thread or in several threads (``synth --jobs N``), count as
@@ -262,7 +269,14 @@ def _header(kind: str) -> dict:
 
 
 class _Text(str):
-    """JSON text that ``canonical_dumps`` writes as it is, unquoted."""
+    """JSON text that ``canonical_dumps`` writes as it is, unquoted.
+
+    A seg map's runs value that ``_loads`` read keeps its label and count
+    arrays in ``runs``, so that ``seg_map_from_obj`` does not parse it
+    again.
+    """
+
+    runs: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _string(s: str) -> str:
@@ -297,11 +311,56 @@ def _non_finite(token: str):
 
 _json_decode = json.JSONDecoder(parse_constant=_non_finite).decode
 
+_RUNS_KEY = '"runs":'
+
+
+def _loads(text: str) -> Any:
+    """``text`` as JSON, with each seg map's runs value handed on as the
+    ``_Text`` it was read as, its arrays parsed by ``_runs_arrays``.
+
+    Each value is cut out and a ``NaN`` token put in its place, which the
+    decoder hands to ``parse_constant``, in order. No backslash precedes
+    the key's opening quote, so in a text the decoder accepts, every
+    placeholder is the value of a ``"runs"`` key. A value that is not
+    canonical, a backslash before the key, a decode error, or a count of
+    placeholders used that differs from the count made sends the whole
+    text to ``_json_decode``, which also raises every error.
+    """
+    pieces, texts = [], []
+    done = 0
+    while (key := text.find(_RUNS_KEY + "[[", done)) >= 0:
+        start = key + len(_RUNS_KEY)
+        end = text.find("]]", start) + 2
+        if end < 2 or text[key - 1 : key] == "\\":
+            return _json_decode(text)
+        value = _Text(text[start:end])
+        value.runs = _runs_arrays(value)
+        if value.runs is None:
+            return _json_decode(text)
+        pieces += (text[done:start], "NaN")
+        texts.append(value)
+        done = end
+    if not texts:
+        return _json_decode(text)
+    pieces.append(text[done:])
+    texts.reverse()
+
+    def placeholder(token: str) -> _Text:
+        if token != "NaN" or not texts:
+            raise ValueError(f"{token} is not a placeholder")
+        return texts.pop()
+
+    try:
+        obj = json.JSONDecoder(parse_constant=placeholder).decode("".join(pieces))
+    except ValueError:
+        return _json_decode(text)
+    return _json_decode(text) if texts else obj
+
 
 def read_json(path: Path | str) -> Any:
     text = Path(path).read_text()
     try:
-        return _json_decode(text)
+        return _loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
     except ValueError as e:
@@ -326,7 +385,7 @@ def read_ndjson(path: Path | str, kind: str) -> list[tuple[int, Any]]:
             if not line:
                 continue
             try:
-                rows.append((lineno, _json_decode(line)))
+                rows.append((lineno, _loads(line)))
             except ValueError as e:
                 msg = e.msg if isinstance(e, json.JSONDecodeError) else e
                 raise FormatError(f"{path}: invalid JSON at line {lineno}: {msg}") from None
@@ -408,6 +467,49 @@ def _seg_runs_text(seg: SegmentationMap) -> str:
     return buf.tobytes().decode("ascii")
 
 
+def _runs_arrays(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The labels and counts of the runs value ``text``, if it is in the
+    canonical form ``_seg_runs_text`` writes, else None.
+
+    Canonical means the bytes ``[[L,C],[L,C],...]`` and nothing else: no
+    whitespace, no sign, fraction or exponent, and numbers without a
+    leading zero. Each number also has at most 9 digits, so that the
+    int64 sum of a map's counts is exact.
+    """
+    if not text.isascii():
+        return None
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    digits = raw - ord("0")
+    sep = np.flatnonzero(digits > 9)  # every byte that is not a digit
+    k = (sep.size - 1) // 4  # runs
+    if k < 1 or sep.size != 4 * k + 1:
+        return None
+    shape = b"[[,]" + b",[,]" * (k - 1) + b"]"
+    if not np.array_equal(raw[sep], np.frombuffer(shape, dtype=np.uint8)):
+        return None
+    opens, commas, closes = sep[1::4], sep[2::4], sep[3::4]
+    n_labels, n_counts = commas - opens - 1, closes - commas - 1
+    # A digit outside every label and count is one between brackets.
+    if int(n_labels.sum() + n_counts.sum()) != digits.size - sep.size:
+        return None
+    labels = _numbers(digits, commas, n_labels)
+    counts = _numbers(digits, closes, n_counts)
+    return None if labels is None or counts is None else (labels, counts)
+
+
+def _numbers(digits: np.ndarray, end: np.ndarray, n: np.ndarray) -> np.ndarray | None:
+    """The decimal numbers whose ``n`` digits end before ``end``, one
+    decimal place at a time; None if one has no digit, more than 9
+    digits or a leading zero."""
+    if n.min() < 1 or n.max() > 9 or (digits[end - n][n > 1] == 0).any():
+        return None
+    value = digits[end - 1].astype(np.int64)
+    for place in range(1, int(n.max())):
+        has = np.flatnonzero(n > place)
+        value[has] += digits[end[has] - 1 - place].astype(np.int64) * 10**place
+    return value
+
+
 def seg_map_to_obj(seg: SegmentationMap) -> dict:
     """``seg`` with its runs as ``[label, count]`` lists, parsed from the
     text every writer splices in."""
@@ -419,12 +521,17 @@ def seg_map_to_obj(seg: SegmentationMap) -> dict:
 def seg_map_from_obj(obj: Mapping) -> SegmentationMap:
     w, h = _typed(obj["w"], int), _typed(obj["h"], int)
     runs = obj["runs"]
-    runs = _typed(json.loads(runs) if type(runs) is _Text else runs, list)
-    if set(map(len, runs)) != {2}:
-        raise TypeError("expected a list of [label, count] pairs")
-    values = _integers(list(chain.from_iterable(runs)))
-    labels, counts = values[0::2], values[1::2]
-    if sum(counts.tolist()) != w * h:
+    if type(runs) is _Text and runs.runs is not None:
+        labels, counts = runs.runs
+        total = int(counts.sum())  # exact: no count has more than 9 digits
+    else:
+        runs = _typed(json.loads(runs) if type(runs) is _Text else runs, list)
+        if set(map(len, runs)) != {2}:
+            raise TypeError("expected a list of [label, count] pairs")
+        values = _integers(list(chain.from_iterable(runs)))
+        labels, counts = values[0::2], values[1::2]
+        total = sum(counts.tolist())
+    if total != w * h:
         raise FormatError("segmentation run lengths do not cover the grid")
     # Checked here because the cast to uint8 would wrap 256 to 0.
     if labels.min() < 0 or labels.max() > 3:
