@@ -54,18 +54,17 @@ def write_bundle(out_dir: Path, config: SynthConfig) -> None:
     rendered = render_model_outputs(truth, config)
     embryo_dir = out_dir / config.embryo_id
     embryo_dir.mkdir(parents=True, exist_ok=True)
-    with serialize._gc_paused():
-        serialize.write_json(embryo_dir / "manifest.json", serialize.movie_to_obj(movie))
-        serialize.write_json(embryo_dir / "truth.json", serialize.truth_to_obj(truth))
-        serialize.write_json(
-            embryo_dir / "synth_config.json", serialize.synth_config_to_obj(config)
-        )
-        serialize.write_backend_files(
-            embryo_dir / "backend",
-            rendered,
-            movie.times,
-            seg_plane=truth.plane_count // 2,
-        )
+    serialize.write_json(embryo_dir / "manifest.json", serialize.movie_to_obj(movie))
+    serialize.write_json(embryo_dir / "truth.json", serialize.truth_to_obj(truth))
+    serialize.write_json(
+        embryo_dir / "synth_config.json", serialize.synth_config_to_obj(config)
+    )
+    serialize.write_backend_files(
+        embryo_dir / "backend",
+        rendered,
+        movie.times,
+        seg_plane=truth.plane_count // 2,
+    )
 
 
 @cli.command()
@@ -145,8 +144,7 @@ def run(movie_path, backends_arg, config_path, out_path):
         # Stage rows are matched to the manifest's frames by time.
         suite.stage.rows.check_times(movie.times)
     result = run_pipeline(movie, suite, config)
-    with serialize._gc_paused():
-        serialize.write_json(out_path, pipeline_mod.result_to_obj(result))
+    serialize.write_json(out_path, pipeline_mod.result_to_obj(result))
     click.echo(f"wrote {out_path}")
 
 
@@ -157,9 +155,8 @@ def run(movie_path, backends_arg, config_path, out_path):
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def eval_cmd(result_path, truth_path, out_path, csv_path):
     """Score a pipeline result against ground truth."""
-    with serialize._gc_paused():
-        result = pipeline_mod.result_from_obj(serialize.read_json(result_path))
-        truth = serialize.truth_from_obj(serialize.read_json(truth_path))
+    result = pipeline_mod.result_from_obj(serialize.read_json(result_path))
+    truth = serialize.truth_from_obj(serialize.read_json(truth_path))
     report = evaluate_run(result, truth, result.config)
     obj = serialize.report_to_obj(report)
     serialize.write_json(out_path, obj)
@@ -197,7 +194,7 @@ def report(reports_glob, out_path):
                 pick(r.pronuclei, "mean_ap"),
             ]
         )
-    with open(out_path, "w", newline="") as f:
+    with open(out_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(
             [

@@ -3,8 +3,6 @@ precomputed backend outputs, confusion matrices, and evaluation reports.
 
 All JSON is written canonically (sorted keys, compact separators, bare
 floats via repr) so identical inputs produce byte-identical files.
-Bulk reads and writes run with the cyclic garbage collector paused
-(``_gc_paused``), which changes their speed and no byte.
 Binary masks are stored as row-major run-length encodings starting with
 the background run; 4-class maps as (label, count) run pairs. A map's
 runs are written as JSON text that numpy builds (``_seg_runs_text``) and
@@ -22,12 +20,9 @@ types, rejecting unknown, missing and wrong-typed keys at every depth.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
-import gc
 import json
-import threading
 from collections import abc
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
@@ -225,45 +220,6 @@ def _decoder(what: str, error: type[ValidationError] = FormatError):
     return wrap
 
 
-_gc_pause_lock = threading.Lock()
-_gc_pause_depth = 0
-_gc_was_enabled = False
-
-
-@contextlib.contextmanager
-def _gc_paused():
-    """No cyclic garbage collection inside the block.
-
-    A JSON tree whose seg-map runs are lists, as in a file that does not
-    spell them canonically, holds up to ~1M small lists that cannot form
-    cycles, and the collector would walk them again and again. Canonical
-    files are read and written with a few objects per map (its runs as
-    text, and arrays), so for them the pause no longer changes the speed
-    measurably. Reference counting still frees everything as usual, so
-    no result or output byte changes.
-
-    GC state belongs to the whole process. Pauses that overlap, nested
-    in one thread or in several threads (``synth --jobs N``), count as
-    one: the first to enter records ``gc.isenabled()`` and disables GC,
-    the last to leave restores the recorded state, also on an exception.
-    Code outside any pause that turns GC back on costs at most a missed
-    pause, never a different result.
-    """
-    global _gc_pause_depth, _gc_was_enabled
-    with _gc_pause_lock:
-        if _gc_pause_depth == 0:
-            _gc_was_enabled = gc.isenabled()
-            gc.disable()
-        _gc_pause_depth += 1
-    try:
-        yield
-    finally:
-        with _gc_pause_lock:
-            _gc_pause_depth -= 1
-            if _gc_pause_depth == 0 and _gc_was_enabled:
-                gc.enable()
-
-
 def _header(kind: str) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": kind}
 
@@ -301,7 +257,7 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def write_json(path: Path | str, obj: Any) -> None:
-    Path(path).write_text(canonical_dumps(obj) + "\n")
+    Path(path).write_text(canonical_dumps(obj) + "\n", encoding="utf-8")
 
 
 def _non_finite(token: str):
@@ -358,9 +314,10 @@ def _loads(text: str) -> Any:
 
 
 def read_json(path: Path | str) -> Any:
-    text = Path(path).read_text()
+    """The JSON in ``path``; a file that is not UTF-8 or not JSON is a
+    FormatError naming it."""
     try:
-        return _loads(text)
+        return _loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
     except ValueError as e:
@@ -370,22 +327,25 @@ def read_json(path: Path | str) -> Any:
 def write_ndjson(
     path: Path | str, rows: Iterable[Mapping[str, Any]], kind: str
 ) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(canonical_dumps(_header(kind)) + "\n")
         for row in rows:
             f.write(canonical_dumps(row) + "\n")
 
 
 def read_ndjson(path: Path | str, kind: str) -> list[tuple[int, Any]]:
-    """The data rows after the header line, each with its line number."""
+    """The data rows after the header line, each with its line number.
+
+    Each line ends at a newline byte and is decoded as UTF-8 on its own,
+    so a byte that is not UTF-8 is a FormatError naming its line.
+    """
     rows = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, 1):
             try:
-                rows.append((lineno, _loads(line)))
+                line = raw.decode("utf-8").strip()
+                if line:
+                    rows.append((lineno, _loads(line)))
             except ValueError as e:
                 msg = e.msg if isinstance(e, json.JSONDecodeError) else e
                 raise FormatError(f"{path}: invalid JSON at line {lineno}: {msg}") from None
@@ -532,7 +492,7 @@ def seg_map_from_obj(obj: Mapping) -> SegmentationMap:
         labels, counts = values[0::2], values[1::2]
         total = sum(counts.tolist())
     if total != w * h:
-        raise FormatError("segmentation run lengths do not cover the grid")
+        raise ValueError("run lengths do not cover the grid")
     # Checked here because the cast to uint8 would wrap 256 to 0.
     if labels.min() < 0 or labels.max() > 3:
         raise ValueError("labels must be in 0..3")
@@ -641,7 +601,6 @@ class _StageTable(dict):
                 )
 
 
-@_gc_paused()
 def write_backend_files(
     out_dir: Path | str,
     rendered: RenderedOutputs,
@@ -676,7 +635,6 @@ def write_backend_files(
         write_ndjson(out / BACKEND_FILES[key], data, kind=_NDJSON_HEADER_KINDS[key])
 
 
-@_gc_paused()
 def read_backend_tables(backend_dir: Path | str) -> dict:
     """Load the five backend files into lookup tables.
 
@@ -802,7 +760,7 @@ def report_csv_rows(obj: Mapping) -> list[tuple[str, str, str]]:
 
 
 def write_report_csv(path: Path | str, obj: Mapping) -> None:
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["block", "metric", "value"])
         writer.writerows(report_csv_rows(obj))

@@ -1,25 +1,20 @@
-"""Bulk JSON reads and writes run with the cyclic garbage collector paused.
-
-``serialize._gc_paused`` must restore the state it found, after an error
-too, and no collection may run while a tree of seg-map runs is alive.
+"""No command leaves the cyclic garbage collector in a state other than
+the one it found: after a format error, and after ``synth`` with worker
+threads.
 """
 
 import gc
 import json
-import sys
-import threading
-import time
 
 import pytest
 
-from embryometrics import pipeline, serialize
+from embryometrics import serialize
 from embryometrics.cli import main, write_bundle
 from embryometrics.errors import FormatError
-from embryometrics.serialize import _gc_paused, read_backend_tables, write_json
+from embryometrics.serialize import read_backend_tables, write_json
 from embryometrics.synth import NoiseConfig, SynthConfig
 
-# Seg flips give each 128x128 map ~1600 runs, so one file parses into
-# enough lists for an unpaused parse to collect many times.
+# Seg flips give each 128x128 map ~1600 runs.
 NOISY = SynthConfig(
     seed=5,
     frames=8,
@@ -51,51 +46,6 @@ def gc_state(request):
     (gc.enable if was else gc.disable)()
 
 
-@pytest.fixture
-def collections():
-    """A list that gains one entry per collection started while it lives."""
-    seen = []
-
-    def hook(phase, info):
-        if phase == "start":
-            seen.append(info["generation"])
-
-    gc.callbacks.append(hook)
-    yield seen
-    gc.callbacks.remove(hook)
-
-
-class TestState:
-    def test_paused_inside_and_restored_after(self, gc_state):
-        with _gc_paused():
-            assert not gc.isenabled()
-        assert gc.isenabled() is gc_state
-
-    def test_restored_after_an_exception(self, gc_state):
-        with pytest.raises(RuntimeError):
-            with _gc_paused():
-                raise RuntimeError("boom")
-        assert gc.isenabled() is gc_state
-
-    def test_nested_pause_leaves_the_outer_state(self, gc_state):
-        with _gc_paused():
-            with _gc_paused():
-                assert not gc.isenabled()
-            assert not gc.isenabled()
-        assert gc.isenabled() is gc_state
-
-    def test_overlapping_pauses_restore_the_first_state(self, gc_state):
-        # Two threads' pauses can end in the order they began; the second
-        # one in must not restore the "disabled" it found.
-        first, second = _gc_paused(), _gc_paused()
-        first.__enter__()
-        second.__enter__()
-        first.__exit__(None, None, None)
-        assert not gc.isenabled()
-        second.__exit__(None, None, None)
-        assert gc.isenabled() is gc_state
-
-
 class TestStateAfterFormatError:
     def test_truncated_result(self, tmp_path, bundle, gc_state, capsys):
         text = (bundle.parent / "result.json").read_text()
@@ -122,33 +72,6 @@ class TestStateAfterFormatError:
         assert gc.isenabled() is gc_state
 
 
-def test_pauses_in_many_threads(gc_state):
-    # More threads than cores and a short switch interval: a lost update
-    # of the shared depth would let GC run inside a pause or stay off.
-    enabled_inside = []
-
-    def work():
-        for _ in range(500):
-            with _gc_paused():
-                time.sleep(0)  # lets another thread enter or leave its pause
-                if gc.isenabled():
-                    enabled_inside.append(True)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert enabled_inside == []
-    assert gc.isenabled() is gc_state
-
-
 def test_gc_enabled_after_threaded_synth(tmp_path):
     assert gc.isenabled()
     config = tmp_path / "synth.json"
@@ -158,41 +81,3 @@ def test_gc_enabled_after_threaded_synth(tmp_path):
                "--embryos", "4", "--jobs", "2"])
     assert rc == 0
     assert gc.isenabled()
-
-
-class TestNoCollectionWhileTreesLive:
-    def test_unpaused_parse_collects(self, bundle, collections):
-        # The guard for the two tests below: the same file, parsed with GC
-        # on, does set off collections.
-        json.loads((bundle / "backend" / "segmentation.ndjson").read_text().splitlines()[1])
-        json.loads((bundle.parent / "result.json").read_text())
-        assert len(collections) > 0
-
-    def test_read_backend_tables(self, bundle, collections):
-        read_backend_tables(bundle / "backend")
-        assert collections == []
-        assert gc.isenabled()
-
-    def test_eval_reads_and_decodes_result(self, tmp_path, bundle, collections,
-                                           monkeypatch):
-        result_path = bundle.parent / "result.json"
-        marks = {}
-        read_json, result_from_obj = serialize.read_json, pipeline.result_from_obj
-
-        def reading(path):
-            if path == str(result_path):
-                marks["start"] = len(collections)
-            return read_json(path)
-
-        def decoding(obj):
-            result = result_from_obj(obj)
-            marks["end"] = len(collections)
-            return result
-
-        monkeypatch.setattr(serialize, "read_json", reading)
-        monkeypatch.setattr(pipeline, "result_from_obj", decoding)
-        rc = main(["eval", "--result", str(result_path), "--truth", str(bundle / "truth.json"),
-                   "--out", str(tmp_path / "report.json")])
-        assert rc == 0
-        assert marks["end"] - marks["start"] == 0
-        assert gc.isenabled()

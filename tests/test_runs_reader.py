@@ -259,8 +259,14 @@ NOISY = SynthConfig(
 FLIPS = 60
 # Bytes a flip writes: digits most often, so that many edits stay valid
 # JSON, then the rest of the runs grammar, the spellings it must refuse,
-# JSON structure and a letter.
-REPLACEMENTS = b"0123456789" * 4 + b",[]- .e\"\\{}:nx"
+# JSON structure and a letter; then characters outside ASCII, and bytes
+# that are not UTF-8 (a continuation byte, a lead byte cut short, 0xff).
+REPLACEMENTS = [bytes([b]) for b in b"0123456789" * 4 + b",[]- .e\"\\{}:nx"] + [
+    "é".encode(), "٣".encode(), b"\x80", b"\xc3", b"\xff"] * 2
+# The files whose seg maps the runs reader parses.
+RUNS_FILES = ["result.json", "truth.json", "segmentation.ndjson"]
+OTHER_FILES = ["manifest.json", "synth_config.json", "fragmentation.ndjson",
+               "stage_probs.ndjson", "cells.ndjson", "pronuclei.ndjson", "report.json"]
 
 
 @pytest.fixture(scope="module")
@@ -274,46 +280,67 @@ def bundle(tmp_path_factory):
     assert main(["run", "--movie", str(embryo / "manifest.json"), "--backends",
                  str(embryo), "--config", str(root / "pipeline.json"), "--out",
                  str(root / "result.json")]) == 0
+    assert main(["eval", "--result", str(root / "result.json"), "--truth",
+                 str(embryo / "truth.json"), "--out", str(root / "report.json")]) == 0
     return root, embryo
 
 
-def flips(text: str, seed: int):
-    """Seeded one-byte edits of ``text``: half of them inside a runs
-    value, the rest anywhere."""
+def flips(data: bytes, seed: int):
+    """Seeded one-byte edits of ``data``: half of them inside a runs
+    value, if it has one, the rest anywhere."""
     rng = random.Random(seed)
     spans = []
     at = 0
-    while (key := text.find('"runs":[[', at)) >= 0:
-        at = text.find("]]", key) + 2
+    while (key := data.find(b'"runs":[[', at)) >= 0:
+        at = data.find(b"]]", key) + 2
         spans.append((key, at))
-    assert spans
     for i in range(FLIPS):
-        if i % 2:
+        if i % 2 and spans:
             lo, hi = rng.choice(spans)
             pos = rng.randrange(lo, hi)
         else:
-            pos = rng.randrange(len(text))
-        new = chr(rng.choice(REPLACEMENTS))
-        if new == text[pos]:
-            new = "7" if new != "7" else "8"
-        yield pos, text[:pos] + new + text[pos + 1:]
+            pos = rng.randrange(len(data))
+        new = rng.choice(REPLACEMENTS)
+        if new == data[pos:pos + 1]:
+            new = b"7" if new != b"7" else b"8"
+        yield pos, data[:pos] + new + data[pos + 1:]
+
+
+def original(name, root, embryo):
+    """The bundle's copy of the file ``name``."""
+    if name in ("result.json", "report.json"):
+        return root / name
+    if name.endswith(".ndjson"):
+        return embryo / "backend" / name
+    return embryo / name
 
 
 def command(name, root, embryo, tmp):
-    """The file to edit and the CLI arguments that read it."""
+    """The file to edit, the output to compare and the CLI arguments
+    that read the file."""
     out = tmp / "out.json"
-    if name == "segmentation.ndjson":
+    edited = tmp / name
+    if name.endswith(".ndjson"):
         backend = tmp / "backend"
         shutil.copytree(embryo / "backend", backend)
         return backend / name, out, [
             "run", "--movie", str(embryo / "manifest.json"), "--backends", str(backend),
             "--config", str(root / "pipeline.json"), "--out", str(out)]
+    if name == "manifest.json":
+        return edited, out, [
+            "run", "--movie", str(edited), "--backends", str(embryo),
+            "--config", str(root / "pipeline.json"), "--out", str(out)]
+    if name == "synth_config.json":
+        data = tmp / "data"
+        return edited, data / "index.json", [
+            "synth", "--config", str(edited), "--out", str(data), "--seed", "2"]
+    if name == "report.json":
+        table = tmp / "table.csv"
+        return edited, table, ["report", "--reports", str(edited), "--out", str(table)]
     if name == "truth.json":
-        truth = tmp / name
-        return truth, out, ["eval", "--result", str(root / "result.json"), "--truth",
-                            str(truth), "--out", str(out)]
-    result = tmp / name
-    return result, out, ["eval", "--result", str(result), "--truth",
+        return edited, out, ["eval", "--result", str(root / "result.json"), "--truth",
+                             str(edited), "--out", str(out)]
+    return edited, out, ["eval", "--result", str(edited), "--truth",
                          str(embryo / "truth.json"), "--out", str(out)]
 
 
@@ -325,20 +352,17 @@ def cli_outcome(argv, out, capsys):
     return rc, err, out.read_bytes() if out.exists() else None
 
 
-@pytest.mark.parametrize("name", ["result.json", "truth.json", "segmentation.ndjson"])
+@pytest.mark.parametrize("name", RUNS_FILES + OTHER_FILES)
 def test_flipped_byte_reads_the_same_through_both_readers(
         bundle, tmp_path, capsys, name):
     root, embryo = bundle
-    original = {
-        "result.json": root / "result.json",
-        "truth.json": embryo / "truth.json",
-        "segmentation.ndjson": embryo / "backend" / name,
-    }[name].read_text()
-    assert handed_on(original.splitlines()[-1])  # the untouched file reads fast
+    data = original(name, root, embryo).read_bytes()
+    # The untouched file reads fast.
+    assert handed_on(data.decode().splitlines()[-1]) == (name in RUNS_FILES)
     path, out, argv = command(name, root, embryo, tmp_path)
     differ, bad_exit = [], []
-    for pos, text in flips(original, seed=sum(map(ord, name))):
-        path.write_text(text)
+    for pos, edited in flips(data, seed=sum(map(ord, name))):
+        path.write_bytes(edited)
         fast = cli_outcome(argv, out, capsys)
         with slow_reader():
             slow = cli_outcome(argv, out, capsys)
