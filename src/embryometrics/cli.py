@@ -180,8 +180,9 @@ def report(reports_glob, out_path):
 
     rows = []
     for path in paths:
+        obj = serialize.read_json(path)  # its errors already name the file
         try:
-            r = serialize.report_from_obj(serialize.read_json(path))
+            r = serialize.report_from_obj(obj)
         except ValidationError as e:
             raise FormatError(f"{path}: {e}") from None
         rows.append(

@@ -92,12 +92,13 @@ def embryo_roi(seg_map: SegmentationMap, side: int = DEFAULT_ROI_SIDE) -> Roi:
         NoEmbryoError: the map contains no zona / inside-zona pixels;
             callers should fall back to :func:`center_roi` and report it.
     """
-    labels = seg_map.labels
-    embryo = (labels == SegClass.ZONA) | (labels == SegClass.INSIDE_ZONA)
-    rows = np.flatnonzero(embryo.any(axis=1))
-    cols = np.flatnonzero(embryo.any(axis=0))
+    # Labels are 0..3, so >= ZONA is zona or inside-zona; a plain int keeps
+    # numpy from casting the uint8 grid to the enum's int64.
+    labels, zona = seg_map.labels, int(SegClass.ZONA)
+    rows = np.flatnonzero(labels.max(axis=1) >= zona)
     if rows.size == 0:
         raise NoEmbryoError("segmentation contains no zona or inside-zona pixels")
+    cols = np.flatnonzero(labels[rows[0] : rows[-1] + 1].max(axis=0) >= zona)
     cx = (int(cols[0]) + int(cols[-1]) + 1) // 2
     cy = (int(rows[0]) + int(rows[-1]) + 1) // 2
     return roi_around((cx, cy), side, seg_map.width, seg_map.height)
@@ -134,12 +135,13 @@ def iou_matrix(a: Sequence[BinaryMask], b: Sequence[BinaryMask]) -> np.ndarray:
     if len(dims) > 1:
         raise ShapeMismatchError(f"masks have mixed dimensions: {dims}")
 
-    runs = [m._foreground() for m in a]
+    foreground = {id(m): m._foreground() for m in (*a, *b)}  # once per mask
+    runs = [foreground[id(m)] for m in a]
     starts, stops = (np.concatenate(ends) for ends in zip(*runs))
     rows = np.repeat(np.arange(len(a)), [s.size for s, _ in runs])
     inter = np.zeros((len(a), len(b)), dtype=np.int64)
     for j, m in enumerate(b):
-        s, e = m._foreground()
+        s, e = foreground[id(m)]
         if s.size:
             counted = np.cumsum(e - s)
             knots = np.column_stack((s, e)).ravel()

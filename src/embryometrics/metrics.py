@@ -64,19 +64,22 @@ def pixel_accuracy(
 
     per_class[c] is the fraction of truth-c pixels predicted c; classes
     absent from the truth are omitted rather than reported as 0 or 1.
+    Labels are compared with plain ints, which keep uint8 grids uint8.
     """
     p = _as_label_array(pred)
     t = _as_label_array(truth)
     if p.shape != t.shape:
         raise ShapeMismatchError(f"map shapes differ: {p.shape} vs {t.shape}")
+    if t.size == 0:
+        raise EmptyInputError("no pixels to evaluate")
     equal = p == t
     overall = float(equal.mean())
     per_class: dict[SegClass, float] = {}
     for c in SegClass:
-        sel = t == c
-        n = int(sel.sum())
+        sel = t == int(c)
+        n = np.count_nonzero(sel)
         if n > 0:
-            per_class[c] = float(equal[sel].sum() / n)
+            per_class[c] = float(np.count_nonzero(equal & sel) / n)
     return overall, per_class
 
 

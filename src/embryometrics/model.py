@@ -307,7 +307,7 @@ class BinaryMask:
 
     def _foreground(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat start and (exclusive) stop index of each foreground run."""
-        ends = np.cumsum(self.runs)
+        ends = np.cumsum(np.fromiter(self.runs, np.int64, len(self.runs)))
         return ends[:-1:2], ends[1::2]
 
     def tight_bbox(self) -> tuple[int, int, int, int]:

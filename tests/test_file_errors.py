@@ -103,3 +103,23 @@ def test_run_sum_error_names_the_format(bundle, tmp_path, capsys, runs_key):
                                   str(embryo / "truth.json"), "--out",
                                   str(tmp_path / "report.json")])
     assert err == "error: bad segmentation map: run lengths do not cover the grid"
+
+
+class TestReportNamesItsFileOnce:
+    def test_truncated_report(self, bundle, tmp_path, capsys):
+        root, _ = bundle
+        bad = tmp_path / "r.json"
+        bad.write_text((root / "report.json").read_text()[:40])
+        err = one_line_error(capsys, ["report", "--reports", str(bad), "--out",
+                                      str(tmp_path / "table.csv")])
+        assert err.count(str(bad)) == 1
+        assert err.startswith(f"error: {bad}: invalid JSON at line 1: ")
+
+    def test_report_that_does_not_decode(self, bundle, tmp_path, capsys):
+        root, _ = bundle
+        bad = tmp_path / "r.json"
+        bad.write_text("[1, 2]")
+        err = one_line_error(capsys, ["report", "--reports", str(bad), "--out",
+                                      str(tmp_path / "table.csv")])
+        assert err.count(str(bad)) == 1
+        assert err.startswith(f"error: {bad}: ")
