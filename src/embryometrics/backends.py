@@ -16,16 +16,15 @@ resampling happens here.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import BackendError
 from .geometry import Roi
 from .model import EmbryoMovie, InstanceCandidate, SegmentationMap
-from .serialize import BACKEND_FILES, read_backend_tables
+from .serialize import read_backend_tables
 from .synth import GroundTruth, SynthConfig, render_model_outputs
 
 
@@ -72,42 +71,33 @@ class _Table(ZonaSegmenter, FragmentationScorer, StageClassifier, InstanceDetect
     """Any model served from a lookup table.
 
     Keys are ``(frame, plane)``, or the frame alone for stage
-    probabilities. A missing key raises ``KeyError`` unless a default
-    is given: no line in a detector table means it found nothing there.
+    probabilities. A missing key raises what the table raises for it
+    (``KeyError`` from a plain dict), except in a detector: no row
+    there means it found nothing.
     """
 
-    def __init__(self, table: Mapping, default=None):
-        self._table = dict(table)
-        self._default = default
-
-    def _get(self, key):
-        if self._default is None:
-            return self._table[key]
-        return self._table.get(key, self._default)
+    def __init__(self, table: Mapping):
+        self.table = table
 
     def segment(self, movie, frame, plane):
-        return self._get((frame, plane))
+        return self.table[frame, plane]
 
     def score(self, movie, frame, plane, roi):
-        return self._get((frame, plane))
+        return self.table[frame, plane]
 
     def probabilities(self, movie, frame, roi):
-        return self._get(frame)
+        return self.table[frame]
 
     def detect(self, movie, frame, plane, roi):
-        return self._get((frame, plane))
+        return self.table.get((frame, plane), ())
 
 
 def suite_from_tables(
     seg: Mapping, frag: Mapping, stage: Mapping, cells: Mapping, pronuclei: Mapping
 ) -> BackendSuite:
-    return BackendSuite(
-        segmenter=_Table(seg),
-        fragmentation=_Table(frag),
-        stage=_Table(stage),
-        cells=_Table(cells, default=()),
-        pronuclei=_Table(pronuclei, default=()),
-    )
+    """A suite that serves lookups from the mappings it is given; it does
+    not copy them."""
+    return BackendSuite(*map(_Table, (seg, frag, stage, cells, pronuclei)))
 
 
 def _plane_table(per_frame: Sequence[Mapping[int, object]]) -> dict:
@@ -132,51 +122,16 @@ def synth_backend_suite(truth: GroundTruth, config: SynthConfig) -> BackendSuite
     )
 
 
-class _FilePlanes(_Table):
-    """Seg maps or fragmentation scores replayed from the file at ``path``
-    for the pipeline stage ``stage``; a missing entry is a BackendError
-    naming the file, as a missing stage row is."""
-
-    def __init__(self, table, stage: str, path: Path):
-        super().__init__(table)
-        self._stage, self._path = stage, path
-
-    def _get(self, key):
-        if key not in self._table:
-            frame, plane = key
-            raise BackendError(
-                self._stage, frame, f"{self._path} has no row for frame {frame}, plane {plane}"
-            )
-        return self._table[key]
-
-
-class _FileStages(_Table):
-    """Stage rows replayed from a file. ``rows`` keeps the file's path and
-    row times, so that a caller holding the movie can check them with
-    ``rows.check_times(movie.times)``."""
-
-    def __init__(self, rows):
-        super().__init__(rows)
-        self.rows = rows
-
-
 def file_backend_suite(bundle_dir: Path | str) -> BackendSuite:
     """Replay precomputed outputs from a bundle directory.
 
     Accepts either the bundle directory (containing ``backend/``) or
-    the backend directory itself.
+    the backend directory itself. A missing seg or frag row raises a
+    BackendError naming its file. Stage rows are served by position:
+    only ``stage.table.check_times(movie.times)``, which ``run`` calls,
+    matches them to the movie's frames by time.
     """
     d = Path(bundle_dir)
     if (d / "backend").is_dir():
         d = d / "backend"
-    tables = read_backend_tables(d)
-    return replace(
-        suite_from_tables(**tables),
-        segmenter=_FilePlanes(
-            tables["seg"], "zona_segmentation", d / BACKEND_FILES["segmentation"]
-        ),
-        fragmentation=_FilePlanes(
-            tables["frag"], "fragmentation", d / BACKEND_FILES["fragmentation"]
-        ),
-        stage=_FileStages(tables["stage"]),
-    )
+    return suite_from_tables(**read_backend_tables(d))

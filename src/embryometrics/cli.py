@@ -8,7 +8,7 @@ Subcommands:
     report  tabulate many evaluation reports into one CSV
 
 Exit codes: 0 success, 1 validation error (bad inputs, bad files,
-bad config), 2 backend failure.
+bad config) or out of memory, 2 backend failure.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def run(movie_path, backends_arg, config_path, out_path):
             raise ValidationError(f"backend directory not found: {backend_dir}")
         suite = file_backend_suite(backend_dir)
         # Stage rows are matched to the manifest's frames by time.
-        suite.stage.rows.check_times(movie.times)
+        suite.stage.table.check_times(movie.times)
     result = run_pipeline(movie, suite, config)
     serialize.write_json(out_path, pipeline_mod.result_to_obj(result))
     click.echo(f"wrote {out_path}")
@@ -229,6 +229,9 @@ def main(argv=None) -> int:
         return 2
     except (ValidationError, EmbryoMetricsError, OSError) as e:
         click.echo(f"error: {e}", err=True)
+        return 1
+    except MemoryError as e:
+        click.echo(f"error: out of memory: {e}", err=True)
         return 1
 
 

@@ -569,6 +569,22 @@ class _StageRow:
     p: np.ndarray
 
 
+class _PlaneTable(dict):
+    """Seg maps or fragmentation scores by ``(frame, plane)``, read from
+    the file at ``path`` for the pipeline stage ``stage``. A missing row
+    is a BackendError naming the file, as a missing stage row is."""
+
+    def __init__(self, stage: str, path: Path, rows):
+        super().__init__(rows)
+        self.stage, self.path = stage, path
+
+    def __missing__(self, key):
+        frame, plane = key
+        raise BackendError(
+            self.stage, frame, f"{self.path} has no row for frame {frame}, plane {plane}"
+        )
+
+
 class _StageTable(dict):
     """Stage probability rows by frame index, with the file they were
     read from and each row's time ``t``."""
@@ -639,10 +655,11 @@ def read_backend_tables(backend_dir: Path | str) -> dict:
     """Load the five backend files into lookup tables.
 
     Returns a dict with keys seg, frag, stage, cells, pronuclei; seg and
-    frag are keyed by (frame, plane), stage by frame, and the candidate
-    tables by (frame, plane) with missing keys meaning no detections.
-    Stage rows must come in strictly increasing time ``t``; the stage
-    table keeps each row's time for ``check_times``.
+    frag are keyed by (frame, plane), and a missing key raises the
+    BackendError that names the file. Stage is keyed by frame, and the
+    candidate tables by (frame, plane) with missing keys meaning no
+    detections. Stage rows must come in strictly increasing time ``t``;
+    the stage table keeps each row's time for ``check_times``.
     """
     d = Path(backend_dir)
 
@@ -678,8 +695,10 @@ def read_backend_tables(backend_dir: Path | str) -> dict:
     seg = decoded("segmentation", lambda r: _record(_SegRow, r))
     frag = decoded("fragmentation", lambda r: _record(_FragRow, r))
     tables = {
-        "seg": {(r.frame, r.plane): r.map for r in seg},
-        "frag": {(r.frame, r.plane): float(r.score) for r in frag},
+        "seg": _PlaneTable("zona_segmentation", d / BACKEND_FILES["segmentation"],
+                           {(r.frame, r.plane): r.map for r in seg}),
+        "frag": _PlaneTable("fragmentation", d / BACKEND_FILES["fragmentation"],
+                            {(r.frame, r.plane): float(r.score) for r in frag}),
         "stage": _StageTable(
             d / BACKEND_FILES["stage_probs"], decoded("stage_probs", stage_row)
         ),
