@@ -126,8 +126,8 @@ def file_backend_suite(bundle_dir: Path | str) -> BackendSuite:
     """Replay precomputed outputs from a bundle directory.
 
     Accepts either the bundle directory (containing ``backend/``) or
-    the backend directory itself. A missing seg or frag row raises a
-    BackendError naming its file. Stage rows are served by position:
+    the backend directory itself. A missing seg, frag or stage row raises
+    a BackendError naming its file. Stage rows are served by position:
     only ``stage.table.check_times(movie.times)``, which ``run`` calls,
     matches them to the movie's frames by time.
     """

@@ -59,6 +59,7 @@ from .metrics import (
     stage_metrics,
 )
 from .model import (
+    CandidateKind,
     EmbryoMovie,
     FragmentationScore,
     InstanceCandidate,
@@ -151,6 +152,23 @@ def _call(stage_name: str, frame: int, fn, *args):
         raise BackendError(stage_name, frame, repr(e)) from e
 
 
+def _detect(backend, kind: CandidateKind, movie: EmbryoMovie, frame, plane, roi) -> tuple:
+    """``backend``'s candidates on ``plane`` as a tuple; anything but
+    ``kind`` candidates on that plane with masks of the movie's frame
+    size is an error."""
+    found = tuple(backend.detect(movie, frame, plane, roi))
+    size = movie.image_size
+    for c in found:
+        if not isinstance(c, InstanceCandidate):
+            raise TypeError(f"{c!r} is not an InstanceCandidate")
+        if (c.kind, c.plane, c.mask.width, c.mask.height) != (kind, plane, size, size):
+            raise ValueError(
+                f"{c.kind.token} candidate on plane {c.plane}, {c.mask.width}x"
+                f"{c.mask.height}; asked for {kind.token} on plane {plane}, {size}x{size}"
+            )
+    return found
+
+
 def run_pipeline(
     movie: EmbryoMovie, backends: BackendSuite, config: PipelineConfig
 ) -> PipelineResult:
@@ -240,19 +258,20 @@ def run_pipeline(
         # by frame, cells before pronuclei, planes ascending: the first
         # failing call names the stage in the BackendError.
         jobs = (
-            (Detector.CELL, "cell_detection", backends.cells),
-            (Detector.PRONUCLEUS, "pronucleus_detection", backends.pronuclei),
+            (Detector.CELL, CandidateKind.CELL, "cell_detection", backends.cells),
+            (Detector.PRONUCLEUS, CandidateKind.PRONUCLEUS, "pronucleus_detection",
+             backends.pronuclei),
         )
         for i in range(n):
             routed = route_frame(decoded[i])
-            for detector, stage_name, backend in jobs:
+            for detector, kind, stage_name, backend in jobs:
                 if detector not in routed:
                     continue
                 _require_planes(movie, i, detect_planes)
                 pooled = [
                     c
                     for p in detect_planes
-                    for c in _call(stage_name, i, backend.detect, movie, i, p, rois[i])
+                    for c in _call(stage_name, i, _detect, backend, kind, movie, i, p, rois[i])
                 ]
                 found[i][detector] = tuple(
                     merge_across_planes(pooled, config.merge_iou_threshold)

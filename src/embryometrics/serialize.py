@@ -569,30 +569,27 @@ class _StageRow:
     p: np.ndarray
 
 
-class _PlaneTable(dict):
-    """Seg maps or fragmentation scores by ``(frame, plane)``, read from
-    the file at ``path`` for the pipeline stage ``stage``. A missing row
-    is a BackendError naming the file, as a missing stage row is."""
+class _FileTable(dict):
+    """The rows of the backend file at ``path`` for the pipeline stage
+    ``stage``, keyed by ``(frame, plane)``, or by frame with each row's
+    time ``t`` in ``times``. A repeated row is a FormatError and a
+    missing one a BackendError, both naming the file."""
 
-    def __init__(self, stage: str, path: Path, rows):
-        super().__init__(rows)
-        self.stage, self.path = stage, path
+    def __init__(self, stage: str, path: Path, rows, times: Sequence[float] = ()):
+        super().__init__()
+        self.stage, self.path, self.times = stage, path, tuple(times)
+        for key, value in rows:
+            if key in self:
+                raise FormatError(f"{path}: a second row for {self._row(key)}")
+            self[key] = value
+
+    def _row(self, key) -> str:
+        frame, *plane = key if isinstance(key, tuple) else (key,)
+        return f"frame {frame}" + "".join(f", plane {p}" for p in plane)
 
     def __missing__(self, key):
-        frame, plane = key
-        raise BackendError(
-            self.stage, frame, f"{self.path} has no row for frame {frame}, plane {plane}"
-        )
-
-
-class _StageTable(dict):
-    """Stage probability rows by frame index, with the file they were
-    read from and each row's time ``t``."""
-
-    def __init__(self, path: Path, rows: Sequence[_StageRow]):
-        super().__init__(enumerate(r.p for r in rows))
-        self.path = path
-        self.times = tuple(r.t for r in rows)
+        frame = key[0] if isinstance(key, tuple) else key
+        raise BackendError(self.stage, frame, f"{self.path} has no row for {self._row(key)}")
 
     def check_times(self, times: Sequence[float]) -> None:
         """Match the rows to the frames at ``times`` by time, naming the
@@ -612,9 +609,7 @@ class _StageTable(dict):
         rows = set(self.times)
         for i, t in enumerate(times):
             if t not in rows:
-                raise BackendError(
-                    "stage_classification", i, f"{self.path} has no row at t {t!r}"
-                )
+                raise BackendError(self.stage, i, f"{self.path} has no row at t {t!r}")
 
 
 def write_backend_files(
@@ -654,10 +649,10 @@ def write_backend_files(
 def read_backend_tables(backend_dir: Path | str) -> dict:
     """Load the five backend files into lookup tables.
 
-    Returns a dict with keys seg, frag, stage, cells, pronuclei; seg and
-    frag are keyed by (frame, plane), and a missing key raises the
-    BackendError that names the file. Stage is keyed by frame, and the
-    candidate tables by (frame, plane) with missing keys meaning no
+    Returns a dict with keys seg, frag, stage, cells, pronuclei. Seg and
+    frag are keyed by (frame, plane) and stage by frame; a missing or
+    repeated row there is an error that names the file. The candidate
+    tables are keyed by (frame, plane), with missing keys meaning no
     detections. Stage rows must come in strictly increasing time ``t``;
     the stage table keeps each row's time for ``check_times``.
     """
@@ -694,14 +689,14 @@ def read_backend_tables(backend_dir: Path | str) -> dict:
 
     seg = decoded("segmentation", lambda r: _record(_SegRow, r))
     frag = decoded("fragmentation", lambda r: _record(_FragRow, r))
+    stage = decoded("stage_probs", stage_row)
     tables = {
-        "seg": _PlaneTable("zona_segmentation", d / BACKEND_FILES["segmentation"],
-                           {(r.frame, r.plane): r.map for r in seg}),
-        "frag": _PlaneTable("fragmentation", d / BACKEND_FILES["fragmentation"],
-                            {(r.frame, r.plane): float(r.score) for r in frag}),
-        "stage": _StageTable(
-            d / BACKEND_FILES["stage_probs"], decoded("stage_probs", stage_row)
-        ),
+        "seg": _FileTable("zona_segmentation", d / BACKEND_FILES["segmentation"],
+                          (((r.frame, r.plane), r.map) for r in seg)),
+        "frag": _FileTable("fragmentation", d / BACKEND_FILES["fragmentation"],
+                           (((r.frame, r.plane), float(r.score)) for r in frag)),
+        "stage": _FileTable("stage_classification", d / BACKEND_FILES["stage_probs"],
+                            enumerate(r.p for r in stage), times),
     }
     for key in ("cells", "pronuclei"):
         table: dict = {}
