@@ -11,6 +11,7 @@ one; masks are never fused or averaged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -119,36 +120,81 @@ def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
     return inter / union
 
 
-def iou_matrix(a: Sequence[BinaryMask], b: Sequence[BinaryMask]) -> np.ndarray:
-    """(len(a), len(b)) mask IoU matrix, equal pair by pair to :func:`mask_iou`.
+def iou_matrix(
+    a: Sequence[BinaryMask], b: Sequence[BinaryMask], _floor: float = 0.0
+) -> np.ndarray:
+    """(len(a), len(b)) mask IoU matrix, equal pair by pair to :func:`mask_iou`
+    wherever the IoU is at least `_floor`; an entry below it may read 0.
 
-    Masks are never decoded. A foreground run [s, e) of one mask shares
-    C(e) - C(s) pixels with another, where C(x) counts the other mask's
-    foreground pixels below flat index x. C is flat between that mask's
-    runs and rises by one per pixel inside them, so ``np.interp`` with
-    knots at its run starts and stops gives it exactly. IoU is the exact
-    integer intersection over the union, as in the dense reference.
+    Masks are never decoded. Each distinct mask's runs are read once, and
+    mask k is laid on flat indices [k*w*h, (k+1)*w*h). A pair is computed
+    only if its bound can reach the floor: the intersection is at most
+    ``imax = min(area_a, area_b, overlap of the tight boxes)``, so IoU is
+    at most ``imax / (area_a + area_b - imax)``, and float division
+    rounds monotonically. A foreground run [s, e) of mask i shares
+    C(e + d) - C(s + d) pixels with mask j, where d = (j - i)*w*h and
+    C(x) counts every mask's foreground pixels below flat index x. IoU is
+    the exact integer intersection over the union, as in the dense
+    reference.
     """
     if not a or not b:
         return np.zeros((len(a), len(b)))
     dims = {(m.width, m.height) for m in (*a, *b)}
     if len(dims) > 1:
         raise ShapeMismatchError(f"masks have mixed dimensions: {dims}")
+    ((w, h),) = dims
 
-    foreground = {id(m): m._foreground() for m in (*a, *b)}  # once per mask
-    runs = [foreground[id(m)] for m in a]
-    starts, stops = (np.concatenate(ends) for ends in zip(*runs))
-    rows = np.repeat(np.arange(len(a)), [s.size for s, _ in runs])
-    inter = np.zeros((len(a), len(b)), dtype=np.int64)
-    for j, m in enumerate(b):
-        s, e = foreground[id(m)]
-        if s.size:
-            counted = np.cumsum(e - s)
-            knots = np.column_stack((s, e)).ravel()
-            counts = np.column_stack((counted - (e - s), counted)).ravel()
-            shared = np.interp(stops, knots, counts) - np.interp(starts, knots, counts)
-            inter[:, j] = np.bincount(rows, weights=shared, minlength=len(a))
-    union = np.array([[m.area] for m in a]) + np.array([m.area for m in b]) - inter
+    distinct = {id(m): m for m in (*a, *b)}
+    slot = {key: k for k, key in enumerate(distinct)}
+    ia = np.array([slot[id(m)] for m in a])
+    ib = np.array([slot[id(m)] for m in b])
+    lengths = np.array([len(m.runs) for m in distinct.values()])
+    runs = chain.from_iterable(m.runs for m in distinct.values())
+    ends = np.cumsum(np.fromiter(runs, np.int64, lengths.sum()))
+    # Each mask's runs start with background, so its odd runs are foreground.
+    local = np.arange(ends.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    odd = local % 2 == 1
+    # A sentinel run [-1, -1) first keeps every lookup below in range.
+    starts = np.concatenate(([-1], ends[:-1][odd[1:]]))
+    stops = np.concatenate(([-1], ends[odd]))
+    before = np.concatenate(([0], np.cumsum(stops - starts)))  # C at each start
+    counts = lengths // 2  # foreground runs per mask
+    first = np.cumsum(counts) - counts + 1  # index of each mask's first one
+    after = first + counts
+    area = before[after] - before[first]
+
+    # Tight boxes as in `BinaryMask.tight_bbox`; empty masks keep 0s.
+    fg = np.flatnonzero(area > 0)
+    box = np.zeros((4, len(distinct)), dtype=np.int64)  # x0, x1, y0, y1
+    if fg.size:
+        s, last = starts[1:], stops[1:] - 1
+        across = s // w != last // w
+        at = first[fg] - 1
+        box[0, fg] = np.minimum.reduceat(np.where(across, 0, s % w), at)
+        box[1, fg] = np.maximum.reduceat(np.where(across, w - 1, last % w), at)
+        box[2, fg] = s[at] // w - fg * h
+        box[3, fg] = last[after[fg] - 2] // w - fg * h
+    ba, bb = box[:, ia, None], box[:, ib][:, None, :]
+    span = np.minimum(ba[1::2], bb[1::2]) - np.maximum(ba[::2], bb[::2]) + 1
+    total = area[ia, None] + area[ib]
+    imax = np.minimum(np.minimum(area[ia, None], area[ib]), span.clip(0).prod(axis=0))
+    bound = np.divide(imax, total - imax, out=np.zeros(imax.shape), where=imax > 0)
+    pi, pj = np.nonzero((imax > 0) & (bound >= _floor))
+
+    # Every foreground run of row mask u, moved into column mask v's block.
+    u, v = ia[pi], ib[pj]
+    n = counts[u]
+    run = np.repeat(first[u] - np.cumsum(n) + n, n) + np.arange(n.sum())
+    shift = np.repeat((v - u) * (w * h), n)
+
+    def count_below(x):
+        k = np.searchsorted(starts, x, side="right") - 1
+        return before[k] + np.minimum(x, stops[k]) - starts[k]
+
+    shared = count_below(stops[run] + shift) - count_below(starts[run] + shift)
+    inter = np.zeros(total.shape, dtype=np.int64)
+    inter[pi, pj] = np.bincount(np.repeat(np.arange(pi.size), n), shared, pi.size)
+    union = total - inter
     return np.divide(inter, union, out=np.zeros(union.shape), where=union > 0)
 
 
@@ -175,7 +221,7 @@ def merge_across_planes(
         candidates, key=lambda c: (-c.confidence, c.plane, c.bbox[0])
     )
     masks = [c.mask for c in order]
-    overlapping = iou_matrix(masks, masks) >= iou_threshold
+    overlapping = iou_matrix(masks, masks, iou_threshold) >= iou_threshold
     suppressed = np.zeros(len(order), dtype=bool)
     survivors: list[InstanceCandidate] = []
     for i, cand in enumerate(order):

@@ -381,10 +381,9 @@ def _noisy_candidates(
     kind: CandidateKind,
     noise: NoiseConfig,
 ) -> dict[int, tuple[InstanceCandidate, ...]]:
-    per_plane: dict[int, tuple[InstanceCandidate, ...]] = {}
+    masks, offsets = [], []
     for plane in planes:
-        cands = []
-        for k, (cx, cy, r) in enumerate(circles):
+        for cx, cy, r in circles:
             if noise.mask_jitter_px > 0:
                 cx = cx + float(rng.normal(0.0, noise.mask_jitter_px))
                 cy = cy + float(rng.normal(0.0, noise.mask_jitter_px))
@@ -392,14 +391,24 @@ def _noisy_candidates(
             r = max(r, MIN_MASK_RADIUS)
             cx = float(np.clip(cx, r + 1.0, size - 2.0 - r))
             cy = float(np.clip(cy, r + 1.0, size - 2.0 - r))
-            mask = _disk_mask(size, cx, cy, r)
-            confidence = float(iou_matrix([mask], [truth_masks[k]])[0, 0])
+            masks.append(_disk_mask(size, cx, cy, r))
+            # Drawn here, between the jitters, to keep the RNG stream.
             if noise.confidence_sigma > 0:
-                confidence += float(rng.normal(0.0, noise.confidence_sigma))
-            confidence = float(np.clip(confidence, 0.0, 1.0))
-            cands.append(InstanceCandidate.from_mask(mask, confidence, plane, kind))
-        per_plane[plane] = tuple(cands)
-    return per_plane
+                offsets.append(float(rng.normal(0.0, noise.confidence_sigma)))
+            else:
+                offsets.append(0.0)
+    # One matrix for every plane: candidate k of a plane against truth mask k.
+    n = len(circles)
+    iou = iou_matrix(masks, truth_masks).reshape(len(planes), n, len(truth_masks))
+    ious = np.diagonal(iou, axis1=1, axis2=2)
+    confidence = np.clip(ious + np.reshape(offsets, ious.shape), 0.0, 1.0)
+    return {
+        plane: tuple(
+            InstanceCandidate.from_mask(mask, float(c), plane, kind)
+            for mask, c in zip(masks[p * n : (p + 1) * n], confidence[p])
+        )
+        for p, plane in enumerate(planes)
+    }
 
 
 def render_model_outputs(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from embryometrics.model import BinaryMask, CandidateKind, InstanceCandidate
 
@@ -31,3 +32,8 @@ def random_prob_rows(rng: np.random.Generator, n: int) -> np.ndarray:
     """Rows of independent positive values normalized to sum 1."""
     raw = rng.random((n, 13)) + 1e-3
     return raw / raw.sum(axis=1, keepdims=True)
+
+
+# A longer, reproducible run: `pytest --hypothesis-profile=ci`. Tests that
+# set their own `max_examples` keep it; the default profile is unchanged.
+settings.register_profile("ci", max_examples=500, derandomize=True)

@@ -1,10 +1,10 @@
 """Each fast mask path against the slow reference it replaced.
 
 The run-based IoU kernel is checked against the dense `mask_iou` and the
-bounding-box kernel it replaced; the `np.repeat` mask decoder, the
-vectorised segmentation-map encoder and the run-based bounding box are
-checked against the code they replaced. Replaced code is kept here as
-the reference.
+bounding-box kernel it replaced, and at a floor against itself without
+one; the `np.repeat` mask decoder, the vectorised segmentation-map
+encoder and the run-based bounding box are checked against the code they
+replaced. Replaced code is kept here as the reference.
 """
 
 import math
@@ -54,8 +54,9 @@ def decode_bbox(mask: BinaryMask) -> tuple[int, int, int, int]:
     return (x0, y0, x1 - x0 + 1, y1 - y0 + 1)
 
 
-def boxed_iou_matrix(a, b) -> np.ndarray:
-    """The decode-and-count-inside-the-box-overlap `iou_matrix` used to be."""
+def boxed_iou_matrix(a, b, _floor=0.0) -> np.ndarray:
+    """The decode-and-count-inside-the-box-overlap `iou_matrix` used to be.
+    It ignores `_floor` and computes every pair exactly."""
     if not a or not b:
         return np.zeros((len(a), len(b)))
     dims = {(m.width, m.height) for m in (*a, *b)}
@@ -266,6 +267,129 @@ def test_merge_matches_boxed_kernel(seed, monkeypatch):
     # one per frame on average.
     kept = sum(len(m) for m in runs[1])
     assert len(pools) < kept < sum(len(p) for p in pools)
+
+
+def assert_floor_contract(a, b, floor):
+    """At `floor`, an entry whose IoU reaches the floor is the exact float
+    of `mask_iou` and of the unfloored matrix; one below it is exact or 0."""
+    full = iou_matrix(a, b)
+    floored = iou_matrix(a, b, floor)
+    assert floored.shape == full.shape == (len(a), len(b))
+    for i, ma in enumerate(a):
+        for j, mb in enumerate(b):
+            exact = mask_iou(ma, mb)
+            assert full[i, j] == exact
+            if exact >= floor:
+                assert floored[i, j] == exact
+            else:
+                assert floored[i, j] in (exact, 0.0)
+
+
+@st.composite
+def nested_disks(draw) -> list[BinaryMask]:
+    """Disks inside one another on the synth grid, some clipped at an edge."""
+    cx, cy = draw(st.floats(-20.0, GRID + 20.0)), draw(st.floats(-20.0, GRID + 20.0))
+    r = draw(st.floats(1.0, 80.0))
+    disks = [(cx, cy, r)]
+    for _ in range(draw(st.integers(1, 3))):
+        cx, cy, r = disks[-1]
+        inner = r * draw(st.floats(0.0, 1.0))
+        # Centre offset up to r - inner keeps the inner disk inside.
+        d = (r - inner) * draw(st.floats(0.0, 1.0))
+        angle = draw(st.floats(0.0, 2 * math.pi))
+        disks.append((cx + d * math.cos(angle), cy + d * math.sin(angle), inner))
+    return [BinaryMask.from_array(disk_array(GRID, *c)) for c in disks]
+
+
+EMPTY = BinaryMask(GRID, GRID, (GRID * GRID,))
+
+
+@st.composite
+def floored_pools(draw) -> tuple[list[BinaryMask], list[BinaryMask], float]:
+    """Touching, overlapping, clipped or nested disks with empty masks mixed
+    in, split in two, and a floor in (0, 1]: any float, a round value, or
+    one of the pool's own IoUs, so that entries equal to the floor occur."""
+    masks = draw(st.one_of(synth_disks(), nested_disks()))
+    for _ in range(draw(st.integers(0, 2))):
+        masks.insert(draw(st.integers(0, len(masks))), EMPTY)
+    split = draw(st.integers(0, len(masks)))
+    a, b = (masks, masks) if draw(st.booleans()) else (masks[:split], masks[split:])
+    seen = [v for v in iou_matrix(a, b).ravel().tolist() if v > 0]
+    floors = [
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.sampled_from([0.3, 0.5, 0.7, 0.9, 1.0]),
+    ]
+    if seen:
+        floors.append(st.sampled_from(seen))
+    return a, b, draw(st.one_of(*floors))
+
+
+class TestFlooredKernel:
+    """`iou_matrix(a, b, floor)` skips the pairs whose box-and-area bound
+    is below the floor; every entry that can reach it stays exact."""
+
+    @settings(deadline=None)
+    @given(floored_pools())
+    def test_entries_at_the_floor_are_exact(self, pool):
+        assert_floor_contract(*pool)
+
+    @settings(deadline=None)
+    @given(mask_sets(), st.floats(0.0, 1.0, exclude_min=True))
+    def test_small_grids(self, sets, floor):
+        assert_floor_contract(*sets, floor)
+
+    def test_pairs_below_the_floor_read_zero(self):
+        # Boxes overlap but the bound is below 0.5: the pair is not computed.
+        big = BinaryMask.from_array(disk_array(GRID, 100, 100, 40))
+        small = BinaryMask.from_array(disk_array(GRID, 100, 100, 10))
+        assert 0 < mask_iou(big, small) < 0.5
+        assert iou_matrix([big], [small], 0.5)[0, 0] == 0.0
+        assert iou_matrix([big], [small], 0.01)[0, 0] == mask_iou(big, small)
+
+
+def block_cases():
+    """Masks at the edges of the flat index range of their grid, named."""
+    tail = BinaryMask.from_array([[0, 0, 0], [0, 1, 1]])  # ends on the last pixel
+    head = BinaryMask.from_array([[1, 1, 0], [0, 0, 0]])  # starts at pixel 0
+    whole = BinaryMask.from_array(np.ones((2, 3)))
+    across = BinaryMask.from_array([[0, 0, 1], [1, 1, 0]])  # a run over the row break
+    across_too = BinaryMask.from_array([[0, 1, 1], [1, 0, 0]])
+    corner = BinaryMask.from_array([[0, 0, 1], [0, 0, 0]])  # the break's first half
+    row = [
+        BinaryMask.from_array([bits])
+        for bits in ([1, 1, 0, 0, 1], [0, 1, 1, 1, 1], [1] * 5)
+    ]
+    column = [
+        BinaryMask.from_array(np.array([bits]).T) for bits in ([1, 1, 0, 1], [0, 1, 1, 1])
+    ]
+    empty = BinaryMask.from_array(np.zeros((2, 3)))
+    return {
+        "last pixel then pixel 0": ([tail, head, whole], [tail, head, whole]),
+        "pixel 0 then last pixel": ([head, tail, whole], [head, tail, whole]),
+        "last pixel against pixel 0": ([tail], [head, whole]),
+        "pixel 0 against last pixel": ([head], [whole, tail]),
+        "run across a row break": ([across, head, tail], [across_too, across, whole]),
+        "row break against a corner": ([across_too], [corner, tail]),
+        "full grid": ([whole, whole], [whole]),
+        "1xN grid": (row, row[::-1]),
+        "Nx1 grid": (column, column[::-1]),
+        "same object both sides": ([across, across, tail], [tail, across]),
+        "all empty": ([empty, empty], [empty]),
+        "empty between": ([tail, empty, head], [head, empty, tail]),
+    }
+
+
+class TestFlatBlocks:
+    """Mask k sits at flat indices [k*w*h, (k+1)*w*h) of one run array; runs
+    at the ends of a block must not count pixels of the next."""
+
+    @pytest.mark.parametrize("name", list(block_cases()))
+    @pytest.mark.parametrize("floor", [0.0, 0.2, 0.5, 1.0])
+    def test_equals_mask_iou(self, name, floor):
+        a, b = block_cases()[name]
+        assert_floor_contract(a, b, floor)
+        assert_floor_contract(b, a, floor)
+        assert np.array_equal(iou_matrix(a, b), boxed_iou_matrix(a, b))
 
 
 class TestMaskDecode:
