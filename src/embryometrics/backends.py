@@ -5,8 +5,9 @@ The pipeline pulls five kinds of per-frame outputs from a
 probabilities, and cell / pronucleus candidates. Two suites ship with
 the package: a synthetic suite that renders outputs from ground truth
 (with configurable noise), and a file suite that replays precomputed
-outputs from disk. Both are deterministic lookups, so memoization and
-re-runs are safe.
+outputs from disk. Both serve deterministic lookups from tables of the
+shape ``serialize.backend_tables`` defines, so memoization and re-runs
+are safe.
 
 Backends return candidates in full-image coordinates; the ROI is passed
 for context (a real model would crop and resize with it) but no
@@ -18,13 +19,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .geometry import Roi
 from .model import EmbryoMovie, InstanceCandidate, SegmentationMap
-from .serialize import read_backend_tables
+from .serialize import backend_tables, read_backend_tables
 from .synth import GroundTruth, SynthConfig, render_model_outputs
 
 
@@ -100,30 +101,15 @@ def suite_from_tables(
     return BackendSuite(*map(_Table, (seg, frag, stage, cells, pronuclei)))
 
 
-def _plane_table(per_frame: Sequence[Mapping[int, object]]) -> dict:
-    """Flatten per-frame ``{plane: value}`` maps into a ``(frame, plane)`` table."""
-    return {
-        (i, plane): value
-        for i, planes in enumerate(per_frame)
-        for plane, value in planes.items()
-    }
-
-
 def synth_backend_suite(truth: GroundTruth, config: SynthConfig) -> BackendSuite:
-    """Render all model outputs for the movie once and serve lookups."""
+    """Render all model outputs for the movie once and serve them in the
+    table shape ``serialize.backend_tables`` defines."""
     rendered = render_model_outputs(truth, config)
-    mid = truth.plane_count // 2
-    return suite_from_tables(
-        seg={(i, mid): m for i, m in enumerate(rendered.seg_maps)},
-        frag=_plane_table(rendered.fragmentation),
-        stage=dict(enumerate(rendered.stage_probs)),
-        cells=_plane_table(rendered.cells),
-        pronuclei=_plane_table(rendered.pronuclei),
-    )
+    return suite_from_tables(**backend_tables(rendered, truth.plane_count // 2))
 
 
 def file_backend_suite(bundle_dir: Path | str) -> BackendSuite:
-    """Replay precomputed outputs from a bundle directory.
+    """Replay a bundle's outputs in the table shape ``serialize.backend_tables`` defines.
 
     Accepts either the bundle directory (containing ``backend/``) or
     the backend directory itself. A missing seg, frag or stage row raises

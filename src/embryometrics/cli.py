@@ -134,7 +134,11 @@ def run(movie_path, backends_arg, config_path, out_path):
                 f"--backends synth needs {synth_config_path} next to the manifest"
             )
         synth_config = _load_synth_config(synth_config_path)
-        _, truth = generate_movie(synth_config)
+        regenerated, truth = generate_movie(synth_config)
+        if movie.times != regenerated.times:  # outputs are served by frame index
+            raise ValidationError(
+                f"{movie_path}: frame times differ from those {synth_config_path} generates"
+            )
         suite = synth_backend_suite(truth, synth_config)
     else:
         backend_dir = Path(backends_arg)

@@ -612,49 +612,54 @@ class _FileTable(dict):
                 raise BackendError(self.stage, i, f"{self.path} has no row at t {t!r}")
 
 
+def backend_tables(rendered: RenderedOutputs, seg_plane: int) -> dict:
+    """``rendered`` as the five tables ``read_backend_tables`` returns for
+    the files ``write_backend_files`` writes: seg (on ``seg_plane``), frag
+    and the candidate tables keyed by (frame, plane), stage by frame. A
+    plane without candidates, ``()``, has no key, as it has no row."""
+
+    def by_plane(per_frame: Sequence[Mapping[int, Any]]) -> dict:
+        return {(i, plane): value for i, planes in enumerate(per_frame)
+                for plane, value in sorted(planes.items()) if value != ()}
+
+    return {
+        "seg": {(i, seg_plane): m for i, m in enumerate(rendered.seg_maps)},
+        "frag": by_plane(rendered.fragmentation),
+        "stage": dict(enumerate(rendered.stage_probs)),
+        "cells": by_plane(rendered.cells),
+        "pronuclei": by_plane(rendered.pronuclei),
+    }
+
+
 def write_backend_files(
     out_dir: Path | str,
     rendered: RenderedOutputs,
     times: Sequence[float],
     seg_plane: int,
 ) -> None:
-    """Write the five per-frame backend output files into out_dir."""
+    """Write the five backend files into out_dir, each one of the
+    ``backend_tables`` in key order; stage row ``i`` is at ``times[i]``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    tables = {k: sorted(v.items()) for k, v in backend_tables(rendered, seg_plane).items()}
     rows = {
-        "segmentation": (
-            _to_json(_SegRow(i, seg_plane, m)) for i, m in enumerate(rendered.seg_maps)
-        ),
-        "fragmentation": (
-            _to_json(_FragRow(i, plane, float(score)))
-            for i, scores in enumerate(rendered.fragmentation)
-            for plane, score in sorted(scores.items())
-        ),
-        "stage_probs": (
-            _to_json(_StageRow(float(t), vec))
-            for t, vec in zip(times, rendered.stage_probs)
-        ),
+        "segmentation": (_to_json(_SegRow(*key, m)) for key, m in tables["seg"]),
+        "fragmentation": (_to_json(_FragRow(*key, s)) for key, s in tables["frag"]),
+        "stage_probs": (_to_json(_StageRow(float(times[i]), p)) for i, p in tables["stage"]),
     }
-    for key, per_frame in (("cells", rendered.cells), ("pronuclei", rendered.pronuclei)):
-        rows[key] = (
-            dict(candidate_to_obj(c), frame=i)
-            for i, planes in enumerate(per_frame)
-            for plane in sorted(planes)
-            for c in planes[plane]
-        )
+    for key in ("cells", "pronuclei"):
+        rows[key] = ({**candidate_to_obj(c), "frame": frame}
+                     for (frame, _), cands in tables[key] for c in cands)
     for key, data in rows.items():
         write_ndjson(out / BACKEND_FILES[key], data, kind=_NDJSON_HEADER_KINDS[key])
 
 
 def read_backend_tables(backend_dir: Path | str) -> dict:
-    """Load the five backend files into lookup tables.
-
-    Returns a dict with keys seg, frag, stage, cells, pronuclei. Seg and
-    frag are keyed by (frame, plane) and stage by frame; a missing or
-    repeated row there is an error that names the file. The candidate
-    tables are keyed by (frame, plane), with missing keys meaning no
-    detections. Stage rows must come in strictly increasing time ``t``;
-    the stage table keeps each row's time for ``check_times``.
+    """Load the five backend files into the tables ``backend_tables``
+    builds. A missing or repeated seg, frag or stage row is an error that
+    names the file; a candidate table without a key found nothing there.
+    Stage rows must come in strictly increasing time ``t``; the stage
+    table keeps each row's time for ``check_times``.
     """
     d = Path(backend_dir)
 
