@@ -258,16 +258,17 @@ class BinaryMask:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValidationError("mask dimensions must be positive")
-        runs = tuple(int(r) for r in self.runs)
+        runs = tuple(map(int, self.runs))
         if len(runs) == 0:
             raise ValidationError("runs may not be empty")
-        if runs[0] < 0 or any(r <= 0 for r in runs[1:]):
+        if runs[0] < 0 or min(runs[1:], default=1) <= 0:
             raise ValidationError(
                 "first run must be >= 0 and all later runs > 0 (canonical RLE)"
             )
-        if sum(runs) != self.width * self.height:
+        total = sum(runs)
+        if total != self.width * self.height:
             raise ValidationError(
-                f"run lengths sum to {sum(runs)}, expected {self.width * self.height}"
+                f"run lengths sum to {total}, expected {self.width * self.height}"
             )
         object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "width", int(self.width))

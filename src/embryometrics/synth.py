@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -216,9 +217,65 @@ def _disk(size: int, cx: float, cy: float, r: float):
     return np.s_[y0:y1, x0:x1], (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
 
 
+def _disk_masks(size: int, circles: Sequence[Circle]) -> list[BinaryMask]:
+    """The masks of `_disk`'s pixels for every circle, found in one pass.
+
+    `fl(x - cx)` is monotone in the integer x, so each row's pixels form
+    one interval around the box pixel nearest cx. Each end starts from a
+    `sqrt` guess and steps by one while the exact predicate says so; the
+    nearest pixel bounds the inward steps. A stop that is the same mask's
+    next start (a full-width row) drops with that start.
+    """
+    c = np.array(circles, dtype=np.float64).reshape(-1, 3)
+    cx, cy, r = c.T
+    lo = np.clip(np.floor(c[:, :2] - r[:, None]), 0, size).astype(np.int64)
+    hi = np.clip(np.ceil(c[:, :2] + r[:, None]) + 1, 0, size).astype(np.int64)
+    heights = np.maximum(hi[:, 1] - lo[:, 1], 0)
+    k = np.repeat(np.arange(len(c)), heights)  # disk of each box row
+    y = lo[k, 1] + np.arange(k.size) - np.repeat(np.cumsum(heights) - heights, heights)
+    cx, rr, x0, x1 = cx[k], (r * r)[k], lo[k, 0], hi[k, 0] - 1
+    dy2 = (y - cy[k]) ** 2
+
+    def inside(x, i=slice(None)):
+        return (x - cx[i]) ** 2 + dy2[i] <= rr[i]
+
+    # A row has pixels only if its box pixel nearest cx is one of them.
+    near = [np.clip(np.floor(cx) + d, x0, x1).astype(np.int64) for d in (0, 1)]
+    hit = [inside(m) for m in near]
+    full = (x0 <= x1) & (hit[0] | hit[1])
+    mid = np.where(hit[0], *near)
+    h = np.sqrt(np.maximum(rr - dy2, 0.0))
+    ends = []
+    for guess, out, bound, pick in (
+        (np.ceil(cx - h), -1, x0, np.minimum),
+        (np.floor(cx + h), 1, x1, np.maximum),
+    ):
+        x = pick(np.clip(guess, x0, x1).astype(np.int64), mid)
+        i = np.flatnonzero(full & (x != bound) & inside(x + out))
+        while i.size:  # outward while the next pixel is inside
+            x[i] += out
+            i = i[(x[i] != bound[i]) & inside(x[i] + out, i)]
+        i = np.flatnonzero(full & ~inside(x))
+        while i.size:  # inward while this pixel is outside; stops at mid
+            x[i] -= out
+            i = i[~inside(x[i], i)]
+        ends.append(x[full])
+    k, y = k[full], y[full]
+    edges = np.stack([y * size + ends[0], y * size + ends[1] + 1], axis=1).ravel()
+    joined = np.flatnonzero((edges[1:-1:2] == edges[2::2]) & (k[:-1] == k[1:]))
+    keep = edges != size * size  # a run to the grid's end needs no stop
+    keep[2 * joined + 1] = keep[2 * joined + 2] = False
+    edges, owner = edges[keep], np.repeat(k, 2)[keep]
+    # Mask j's edges, offset by j grids, between boundaries j and j + 1.
+    first = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(c)))))
+    grids = np.arange(len(c) + 1) * (size * size)
+    runs = np.diff(np.insert(edges + grids[owner], first, grids)).tolist()
+    at = (first + np.arange(len(c) + 1)).tolist()
+    return [BinaryMask(size, size, runs[a:b]) for a, b in zip(at, at[1:])]
+
+
 def _disk_mask(size: int, cx: float, cy: float, r: float) -> BinaryMask:
-    (rows, cols), inside = _disk(size, cx, cy, r)
-    return BinaryMask._from_window(size, size, cols.start, rows.start, inside)
+    return _disk_masks(size, [(cx, cy, r)])[0]
 
 
 def _sample_stages(rng: np.random.Generator, config: SynthConfig):
@@ -300,15 +357,14 @@ def generate_movie(config: SynthConfig) -> tuple[EmbryoMovie, GroundTruth]:
     pn_angle = float(rng.uniform(0.0, 2.0 * math.pi))
 
     seg_maps = []
-    cell_masks = []
     cell_circles = []
-    pn_masks = []
     pn_circles = []
-    well_box, well = _disk(size, size / 2.0, size / 2.0, WELL_RADIUS_FRACTION * size)
+    well = np.full((size, size), SegClass.OUTSIDE_WELL, dtype=np.uint8)
+    box, inside = _disk(size, size / 2.0, size / 2.0, WELL_RADIUS_FRACTION * size)
+    well[box][inside] = SegClass.INSIDE_WELL
     for i, stage in enumerate(stages):
         cx, cy = float(centers[i, 0]), float(centers[i, 1])
-        labels = np.full((size, size), SegClass.OUTSIDE_WELL, dtype=np.uint8)
-        labels[well_box][well] = SegClass.INSIDE_WELL
+        labels = well.copy()
         for r, label in (zona_outer, SegClass.ZONA), (zona_inner, SegClass.INSIDE_ZONA):
             box, inside = _disk(size, cx, cy, r)
             labels[box][inside] = label
@@ -324,7 +380,6 @@ def generate_movie(config: SynthConfig) -> tuple[EmbryoMovie, GroundTruth]:
                 for k, (dx, dy, r) in enumerate(layout)
             ]
         cell_circles.append(tuple(circles))
-        cell_masks.append(tuple(_disk_mask(size, *c) for c in circles))
 
         pn: list[Circle] = []
         n_pn = pronuclei_per_frame.get(i, 0)
@@ -342,7 +397,10 @@ def generate_movie(config: SynthConfig) -> tuple[EmbryoMovie, GroundTruth]:
                 for s in signs
             ]
         pn_circles.append(tuple(pn))
-        pn_masks.append(tuple(_disk_mask(size, *c) for c in pn))
+
+    masks = iter(_disk_masks(size, [c for g in cell_circles + pn_circles for c in g]))
+    cell_masks = [tuple(islice(masks, len(g))) for g in cell_circles]
+    pn_masks = [tuple(islice(masks, len(g))) for g in pn_circles]
 
     frames = tuple(
         Frame(
@@ -372,45 +430,6 @@ def generate_movie(config: SynthConfig) -> tuple[EmbryoMovie, GroundTruth]:
     return movie, truth
 
 
-def _noisy_candidates(
-    rng: np.random.Generator,
-    circles: Sequence[Circle],
-    truth_masks: Sequence[BinaryMask],
-    size: int,
-    planes: Sequence[int],
-    kind: CandidateKind,
-    noise: NoiseConfig,
-) -> dict[int, tuple[InstanceCandidate, ...]]:
-    masks, offsets = [], []
-    for plane in planes:
-        for cx, cy, r in circles:
-            if noise.mask_jitter_px > 0:
-                cx = cx + float(rng.normal(0.0, noise.mask_jitter_px))
-                cy = cy + float(rng.normal(0.0, noise.mask_jitter_px))
-                r = r + float(rng.normal(0.0, noise.mask_jitter_px / 2.0))
-            r = max(r, MIN_MASK_RADIUS)
-            cx = float(np.clip(cx, r + 1.0, size - 2.0 - r))
-            cy = float(np.clip(cy, r + 1.0, size - 2.0 - r))
-            masks.append(_disk_mask(size, cx, cy, r))
-            # Drawn here, between the jitters, to keep the RNG stream.
-            if noise.confidence_sigma > 0:
-                offsets.append(float(rng.normal(0.0, noise.confidence_sigma)))
-            else:
-                offsets.append(0.0)
-    # One matrix for every plane: candidate k of a plane against truth mask k.
-    n = len(circles)
-    iou = iou_matrix(masks, truth_masks).reshape(len(planes), n, len(truth_masks))
-    ious = np.diagonal(iou, axis1=1, axis2=2)
-    confidence = np.clip(ious + np.reshape(offsets, ious.shape), 0.0, 1.0)
-    return {
-        plane: tuple(
-            InstanceCandidate.from_mask(mask, float(c), plane, kind)
-            for mask, c in zip(masks[p * n : (p + 1) * n], confidence[p])
-        )
-        for p, plane in enumerate(planes)
-    }
-
-
 def render_model_outputs(
     truth: GroundTruth, config: SynthConfig
 ) -> RenderedOutputs:
@@ -433,8 +452,7 @@ def render_model_outputs(
     seg_maps = []
     frag = []
     probs = []
-    cells = []
-    pronuclei = []
+    draws = []  # (kind, truth masks, jittered circles, offsets) per frame and kind
     for i, stage in enumerate(truth.stages):
         # Stage probabilities.
         vec = np.zeros(13)
@@ -466,33 +484,53 @@ def render_model_outputs(
             seg = SegmentationMap(labels)
         seg_maps.append(seg)
 
-        cells.append(
-            _noisy_candidates(
-                rng,
-                truth.cell_circles[i],
-                truth.cell_masks[i],
-                size,
-                planes,
-                CandidateKind.CELL,
-                noise,
-            )
-        )
-        pronuclei.append(
-            _noisy_candidates(
-                rng,
-                truth.pronucleus_circles[i],
-                truth.pronucleus_masks[i],
-                size,
-                planes,
-                CandidateKind.PRONUCLEUS,
-                noise,
-            )
+        # Candidate circles: the true ones, jittered, on each middle plane.
+        for kind, circles, truth_masks in (
+            (CandidateKind.CELL, truth.cell_circles[i], truth.cell_masks[i]),
+            (CandidateKind.PRONUCLEUS, truth.pronucleus_circles[i], truth.pronucleus_masks[i]),
+        ):
+            jittered, offsets = [], []
+            for plane in planes:
+                for cx, cy, r in circles:
+                    if noise.mask_jitter_px > 0:
+                        cx = cx + float(rng.normal(0.0, noise.mask_jitter_px))
+                        cy = cy + float(rng.normal(0.0, noise.mask_jitter_px))
+                        r = r + float(rng.normal(0.0, noise.mask_jitter_px / 2.0))
+                    r = max(r, MIN_MASK_RADIUS)
+                    cx = min(max(cx, r + 1.0), size - 2.0 - r)
+                    cy = min(max(cy, r + 1.0), size - 2.0 - r)
+                    jittered.append((cx, cy, r))
+                    # Drawn here, between the jitters, to keep the RNG stream.
+                    if noise.confidence_sigma > 0:
+                        offsets.append(float(rng.normal(0.0, noise.confidence_sigma)))
+                    else:
+                        offsets.append(0.0)
+            draws.append((kind, truth_masks, jittered, offsets))
+
+    # Every candidate mask of the movie in one pass, then split back.
+    all_masks = iter(_disk_masks(size, [c for d in draws for c in d[2]]))
+    found = []
+    for kind, truth_masks, jittered, offsets in draws:
+        # One matrix for every plane: candidate k of a plane against truth mask k.
+        masks = list(islice(all_masks, len(jittered)))
+        n = len(jittered) // len(planes)
+        iou = iou_matrix(masks, truth_masks).reshape(len(planes), n, len(truth_masks))
+        ious = np.diagonal(iou, axis1=1, axis2=2)
+        confidence = np.clip(ious + np.reshape(offsets, ious.shape), 0.0, 1.0)
+        found.append(
+            {
+                plane: tuple(
+                    InstanceCandidate.from_mask(mask, float(c), plane, kind)
+                    for mask, c in zip(masks[p * n : (p + 1) * n], confidence[p])
+                )
+                for p, plane in enumerate(planes)
+            }
         )
 
     return RenderedOutputs(
         seg_maps=tuple(seg_maps),
         fragmentation=tuple(frag),
         stage_probs=tuple(probs),
-        cells=tuple(cells),
-        pronuclei=tuple(pronuclei),
+        cells=tuple(found[0::2]),
+        pronuclei=tuple(found[1::2]),
     )
