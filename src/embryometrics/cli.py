@@ -25,7 +25,7 @@ import click
 from . import pipeline as pipeline_mod
 from . import serialize
 from .backends import file_backend_suite, synth_backend_suite
-from .errors import BackendError, EmbryoMetricsError, FormatError, ValidationError
+from .errors import BackendError, EmbryoMetricsError, ValidationError
 from .pipeline import PipelineConfig, evaluate_run, run_pipeline
 from .synth import SynthConfig, derive_embryo_seed, generate_movie, render_model_outputs
 
@@ -35,17 +35,21 @@ def cli():
     """Deterministic embryo-measurement pipeline tools."""
 
 
-def _load_synth_config(path: Path | str | None) -> SynthConfig:
-    if path is None:
-        return SynthConfig()
+def _read(path: Path | str, decode):
+    """`decode` of the JSON in `path`; its errors, like `read_json`'s, name the file."""
     obj = serialize.read_json(path)
-    return serialize.synth_config_from_obj(obj)
+    try:
+        return decode(obj)
+    except ValidationError as e:
+        raise type(e)(f"{path}: {e}") from None
+
+
+def _load_synth_config(path: Path | str | None) -> SynthConfig:
+    return SynthConfig() if path is None else _read(path, serialize.synth_config_from_obj)
 
 
 def _load_pipeline_config(path: str | None) -> PipelineConfig:
-    if path is None:
-        return PipelineConfig()
-    return PipelineConfig.from_obj(serialize.read_json(path))
+    return PipelineConfig() if path is None else _read(path, PipelineConfig.from_obj)
 
 
 def write_bundle(out_dir: Path, config: SynthConfig) -> None:
@@ -125,7 +129,7 @@ def synth(config_path, out_dir, embryos, seed, jobs):
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def run(movie_path, backends_arg, config_path, out_path):
     """Run the measurement pipeline over one movie manifest."""
-    movie = serialize.movie_from_obj(serialize.read_json(movie_path))
+    movie = _read(movie_path, serialize.movie_from_obj)
     config = _load_pipeline_config(config_path)
     if backends_arg == "synth":
         synth_config_path = Path(movie_path).parent / "synth_config.json"
@@ -159,8 +163,8 @@ def run(movie_path, backends_arg, config_path, out_path):
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def eval_cmd(result_path, truth_path, out_path, csv_path):
     """Score a pipeline result against ground truth."""
-    result = pipeline_mod.result_from_obj(serialize.read_json(result_path))
-    truth = serialize.truth_from_obj(serialize.read_json(truth_path))
+    result = _read(result_path, pipeline_mod.result_from_obj)
+    truth = _read(truth_path, serialize.truth_from_obj)
     report = evaluate_run(result, truth, result.config)
     obj = serialize.report_to_obj(report)
     serialize.write_json(out_path, obj)
@@ -184,11 +188,7 @@ def report(reports_glob, out_path):
 
     rows = []
     for path in paths:
-        obj = serialize.read_json(path)  # its errors already name the file
-        try:
-            r = serialize.report_from_obj(obj)
-        except ValidationError as e:
-            raise FormatError(f"{path}: {e}") from None
+        r = _read(path, serialize.report_from_obj)
         rows.append(
             [
                 Path(path).stem,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -280,19 +281,10 @@ class BinaryMask:
         a = np.asarray(arr)
         if a.ndim != 2 or a.size == 0:
             raise ValidationError("mask must be a non-empty 2-D grid")
-        return cls._from_window(a.shape[1], a.shape[0], 0, 0, a != 0)
-
-    @classmethod
-    def _from_window(
-        cls, width: int, height: int, x0: int, y0: int, window: np.ndarray
-    ) -> "BinaryMask":
-        """Encode a boolean window at (x0, y0) on an empty width x height grid.
-        Row edges become flat run starts and stops (the inverse of `_foreground`);
-        an edge that is a stop and the next start (a run across rows) drops."""
-        r, c = np.nonzero(np.diff(window, axis=1, prepend=False, append=False))
-        edges, seen = np.unique((r + y0) * width + c + x0, return_counts=True)
-        runs = np.diff(edges[seen == 1], prepend=0, append=width * height)
-        return cls(width, height, tuple(np.trim_zeros(runs, "b").tolist()))
+        # Each flat index where the value changes ends a run.
+        edges = np.flatnonzero(np.diff((a != 0).ravel(), prepend=False, append=False))
+        runs = np.diff(edges, prepend=0, append=a.size)
+        return cls(a.shape[1], a.shape[0], tuple(np.trim_zeros(runs, "b").tolist()))
 
     def to_array(self) -> np.ndarray:
         """Decode to a (height, width) boolean array."""
@@ -317,6 +309,11 @@ class BinaryMask:
 
         Raises ValidationError on an empty mask.
         """
+        return self._tight_bbox
+
+    @cached_property
+    def _tight_bbox(self) -> tuple[int, int, int, int]:
+        # Kept in the instance's __dict__, outside the fields `==` and hash read.
         first, stop = self._foreground()
         last = stop - 1
         if first.size == 0:

@@ -209,16 +209,9 @@ def derive_embryo_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _disk(size: int, cx: float, cy: float, r: float):
-    """The disk's box, clipped to the grid, and its pixels within r of (cx, cy)."""
-    x0, y0 = (min(max(math.floor(v - r), 0), size) for v in (cx, cy))
-    x1, y1 = (min(max(math.ceil(v + r) + 1, 0), size) for v in (cx, cy))
-    yy, xx = np.ogrid[y0:y1, x0:x1]
-    return np.s_[y0:y1, x0:x1], (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
-
-
 def _disk_masks(size: int, circles: Sequence[Circle]) -> list[BinaryMask]:
-    """The masks of `_disk`'s pixels for every circle, found in one pass.
+    """For every circle, the mask of the pixels (x, y) of its box, clipped to
+    the grid, where `(x - cx)**2 + (y - cy)**2 <= r*r`, found in one pass.
 
     `fl(x - cx)` is monotone in the integer x, so each row's pixels form
     one interval around the box pixel nearest cx. Each end starts from a
@@ -356,20 +349,13 @@ def generate_movie(config: SynthConfig) -> tuple[EmbryoMovie, GroundTruth]:
     spin = float(rng.uniform(-0.03, 0.03))
     pn_angle = float(rng.uniform(0.0, 2.0 * math.pi))
 
-    seg_maps = []
     cell_circles = []
     pn_circles = []
+    # Before the rasteriser, whose row arrays also grow with size: a grid
+    # too large for memory fails here at once.
     well = np.full((size, size), SegClass.OUTSIDE_WELL, dtype=np.uint8)
-    box, inside = _disk(size, size / 2.0, size / 2.0, WELL_RADIUS_FRACTION * size)
-    well[box][inside] = SegClass.INSIDE_WELL
     for i, stage in enumerate(stages):
         cx, cy = float(centers[i, 0]), float(centers[i, 1])
-        labels = well.copy()
-        for r, label in (zona_outer, SegClass.ZONA), (zona_inner, SegClass.INSIDE_ZONA):
-            box, inside = _disk(size, cx, cy, r)
-            labels[box][inside] = label
-        seg_maps.append(SegmentationMap(labels))
-
         count = stage.cell_count
         circles: list[Circle] = []
         if count is not None:
@@ -398,7 +384,18 @@ def generate_movie(config: SynthConfig) -> tuple[EmbryoMovie, GroundTruth]:
             ]
         pn_circles.append(tuple(pn))
 
-    masks = iter(_disk_masks(size, [c for g in cell_circles + pn_circles for c in g]))
+    # The well, each frame's outer and inner zona, then every cell and pronucleus.
+    disks = [(size / 2.0, size / 2.0, WELL_RADIUS_FRACTION * size)]
+    disks += [(cx, cy, r) for cx, cy in centers.tolist() for r in (zona_outer, zona_inner)]
+    disks += [c for g in cell_circles + pn_circles for c in g]
+    masks = iter(_disk_masks(size, disks))
+    well[next(masks).to_array()] = SegClass.INSIDE_WELL
+    seg_maps = []
+    for _ in stages:
+        labels = well.copy()
+        for label in SegClass.ZONA, SegClass.INSIDE_ZONA:
+            labels[next(masks).to_array()] = label
+        seg_maps.append(SegmentationMap(labels))
     cell_masks = [tuple(islice(masks, len(g))) for g in cell_circles]
     pn_masks = [tuple(islice(masks, len(g))) for g in pn_circles]
 

@@ -102,7 +102,7 @@ def test_run_sum_error_names_the_format(bundle, tmp_path, capsys, runs_key):
     err = one_line_error(capsys, ["eval", "--result", str(bad), "--truth",
                                   str(embryo / "truth.json"), "--out",
                                   str(tmp_path / "report.json")])
-    assert err == "error: bad segmentation map: run lengths do not cover the grid"
+    assert err == f"error: {bad}: bad segmentation map: run lengths do not cover the grid"
 
 
 class TestReportNamesItsFileOnce:

@@ -59,6 +59,6 @@ def test_run_rejects_manifest_time_that_reads_as_infinity(bundle, tmp_path, caps
     err = capsys.readouterr().err
     assert rc == 1
     assert len(err.splitlines()) == 1, err
-    assert err.startswith("error: bad movie manifest: frame time ")
+    assert err.startswith(f"error: {movie}: bad movie manifest: frame time ")
     assert "not finite" in err
     assert not out.exists()

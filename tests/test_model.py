@@ -233,6 +233,19 @@ class TestInstanceCandidate:
         c = InstanceCandidate.from_mask(mask, 0.7, 2, CandidateKind.CELL)
         assert c.bbox == mask.tight_bbox()
 
+    def test_from_mask_reads_the_runs_for_the_box_once(self, monkeypatch):
+        calls = []
+        foreground = BinaryMask._foreground
+
+        def counted(mask):
+            calls.append(mask)
+            return foreground(mask)
+
+        monkeypatch.setattr(BinaryMask, "_foreground", counted)
+        mask = disk_mask(20, 10, 10, 4)
+        InstanceCandidate.from_mask(mask, 0.7, 2, CandidateKind.CELL)
+        assert calls == [mask]
+
     def test_bbox_must_be_tight(self):
         mask = disk_mask(20, 10, 10, 4)
         with pytest.raises(ValidationError):

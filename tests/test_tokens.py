@@ -107,8 +107,8 @@ def test_rejected_result_value_names_format(tmp_path, kept_bundle, capsys, key, 
     write_json(bad, obj)
     rc = main(["eval", "--result", str(bad), "--truth", str(embryo / "truth.json"),
                "--out", str(tmp_path / "report.json")])
-    err = _one_error_line(capsys, rc, "bad pipeline result: ")
-    assert err == f"error: bad pipeline result: {detail}\n"
+    err = _one_error_line(capsys, rc, f"{bad}: bad pipeline result: ")
+    assert err == f"error: {bad}: bad pipeline result: {detail}\n"
 
 
 def test_rejected_config_value_names_format(tmp_path, kept_bundle, capsys):
@@ -118,8 +118,8 @@ def test_rejected_config_value_names_format(tmp_path, kept_bundle, capsys):
     rc = main(["run", "--movie", str(embryo / "manifest.json"),
                "--backends", str(embryo), "--config", str(config),
                "--out", str(tmp_path / "r.json")])
-    err = _one_error_line(capsys, rc, "bad pipeline config: ")
-    assert err == "error: bad pipeline config: roi_side must be positive\n"
+    err = _one_error_line(capsys, rc, f"{config}: bad pipeline config: ")
+    assert err == f"error: {config}: bad pipeline config: roi_side must be positive\n"
     assert not (tmp_path / "r.json").exists()
 
 
@@ -132,5 +132,5 @@ def test_rejected_nested_mask_names_both_formats(tmp_path, kept_bundle, capsys):
     write_json(bad, truth)
     rc = main(["eval", "--result", str(result), "--truth", str(bad),
                "--out", str(tmp_path / "report.json")])
-    err = _one_error_line(capsys, rc, "bad ground truth: bad mask: run lengths sum to ")
+    err = _one_error_line(capsys, rc, f"{bad}: bad ground truth: bad mask: run lengths sum to ")
     assert err.endswith(", expected 4096\n")

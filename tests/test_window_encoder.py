@@ -1,11 +1,9 @@
-"""The window encoder and the boxed disk against the full-grid code they
-replaced.
+"""The grid encoder and the disk rasteriser against the code they replaced.
 
-`BinaryMask._from_window` encodes a boolean window at an offset without
-building the grid; `synth._disk` evaluates the disk inequality over the
-disk's clipped box only. The old `run_lengths`-based `from_array` and the
-full-grid disk (`conftest.disk_array`) are the references, compared with
-`==` on runs.
+`BinaryMask.from_array` encodes grids that hold a boolean window at an
+offset; `synth._disk_mask` rasterises one disk from its row intervals. The
+old `run_lengths`-based `from_array` and the full-grid disk
+(`conftest.disk_array`) are the references, compared with `==` on runs.
 """
 
 import numpy as np
@@ -14,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from embryometrics.model import BinaryMask
-from embryometrics.synth import _disk, _disk_mask
+from embryometrics.synth import _disk_mask
 
 from conftest import disk_array
 
@@ -37,8 +35,8 @@ def placed(width: int, height: int, x0: int, y0: int, window: np.ndarray):
 
 
 def assert_window_encodes_like_grid(width, height, x0, y0, window):
-    got = BinaryMask._from_window(width, height, x0, y0, window)
-    assert got == reference_from_array(placed(width, height, x0, y0, window))
+    grid = placed(width, height, x0, y0, window)
+    assert BinaryMask.from_array(grid) == reference_from_array(grid)
 
 
 @st.composite
@@ -72,27 +70,27 @@ class TestFromWindow:
 
     def test_run_across_a_row_break_is_one_run(self):
         window = np.array([[0, 0, 1], [1, 1, 0]], dtype=bool)
-        mask = BinaryMask._from_window(3, 4, 0, 1, window)
+        mask = BinaryMask.from_array(placed(3, 4, 0, 1, window))
         assert mask.runs == (5, 3, 4)
 
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
     def test_empty_window_is_all_background(self, shape):
         window = np.zeros(shape, dtype=bool)
-        assert BinaryMask._from_window(5, 6, 0, 0, window).runs == (30,)
+        assert BinaryMask.from_array(placed(5, 6, 0, 0, window)).runs == (30,)
         assert_window_encodes_like_grid(5, 6, 0, 0, window)
         assert_window_encodes_like_grid(5, 6, 5 - shape[1], 6 - shape[0], window)
 
     def test_all_true_grid(self):
         window = np.ones((4, 7), dtype=bool)
-        assert BinaryMask._from_window(7, 4, 0, 0, window).runs == (0, 28)
+        assert BinaryMask.from_array(placed(7, 4, 0, 0, window)).runs == (0, 28)
         assert_window_encodes_like_grid(7, 4, 0, 0, window)
 
     def test_single_pixel_at_last_flat_index(self):
         window = np.ones((1, 1), dtype=bool)
-        assert BinaryMask._from_window(7, 4, 6, 3, window).runs == (27, 1)
+        assert BinaryMask.from_array(placed(7, 4, 6, 3, window)).runs == (27, 1)
         assert_window_encodes_like_grid(7, 4, 6, 3, window)
 
-    def test_from_array_goes_through_the_window_encoder(self):
+    def test_from_array_reads_any_nonzero_value_as_foreground(self):
         arr = np.array([[0, 2, 0], [1, 0, -1]])
         assert BinaryMask.from_array(arr) == reference_from_array(arr)
 
@@ -128,8 +126,4 @@ class TestBoxedDisk:
     def test_disk_mask_equals_full_grid_disk(self, disk):
         size, cx, cy, r = disk
         full = disk_array(size, cx, cy, r)
-        box, inside = _disk(size, cx, cy, r)
-        boxed = np.zeros((size, size), dtype=bool)
-        boxed[box] = inside
-        assert np.array_equal(boxed, full)
         assert _disk_mask(size, cx, cy, r) == reference_from_array(full)
