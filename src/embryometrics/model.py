@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -224,6 +224,9 @@ class SegmentationMap:
     """Per-pixel 4-class zona segmentation on a width x height grid."""
 
     labels: np.ndarray  # (height, width) uint8 with values in SegClass
+    # The canonical runs text the map was read from, which serialize
+    # writes back; set on the instance, outside the field `==` and hash read.
+    _runs_text: ClassVar[str | None] = None
 
     def __init__(self, labels: np.ndarray | Sequence[Sequence[int]]):
         arr = np.asarray(labels)
@@ -231,7 +234,9 @@ class SegmentationMap:
             raise ValidationError("segmentation map must be a non-empty 2-D grid")
         if arr.min() < 0 or arr.max() > 3:
             raise ValidationError("segmentation labels must be in 0..3")
-        object.__setattr__(self, "labels", _readonly(arr.astype(np.uint8)))
+        grid = arr.astype(np.uint8)  # a copy, whatever the input's dtype
+        grid.flags.writeable = False
+        object.__setattr__(self, "labels", grid)
 
     @property
     def width(self) -> int:

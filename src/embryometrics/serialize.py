@@ -11,7 +11,10 @@ mirror this: ``_loads`` cuts each runs value in that canonical form out
 of the text and parses it with numpy (``_runs_arrays``), so no read of a
 canonical file builds a list per run either. Any other spelling sends
 the whole text to ``json``, which reads it, or rejects it, as before.
-What a canonical file reads to writes back to the same bytes.
+A map read from canonical, maximal runs (no zero count, no two
+neighbouring runs with one label) keeps that text and is written back
+from it without encoding its grid again; any other spelling is written
+from the grid.
 
 Every other record is read off its dataclass: ``_to_json`` writes it
 field by field, and ``_record`` reads it back by the declared field
@@ -104,7 +107,8 @@ def _to_json(value: Any) -> Any:
     if isinstance(value, BinaryMask):
         return mask_to_obj(value)
     if isinstance(value, SegmentationMap):
-        return {"w": value.width, "h": value.height, "runs": _Text(_seg_runs_text(value))}
+        runs = value._runs_text or _Text(_seg_runs_text(value))
+        return {"w": value.width, "h": value.height, "runs": runs}
     if isinstance(value, FragmentationScore):
         return value.value
     if isinstance(value, np.ndarray):
@@ -229,7 +233,7 @@ class _Text(str):
 
     A seg map's runs value that ``_loads`` read keeps its label and count
     arrays in ``runs``, so that ``seg_map_from_obj`` does not parse it
-    again.
+    again; a map that keeps the text drops them.
     """
 
     runs: tuple[np.ndarray, np.ndarray] | None = None
@@ -484,7 +488,10 @@ def seg_map_from_obj(obj: Mapping) -> SegmentationMap:
     if type(runs) is _Text and runs.runs is not None:
         labels, counts = runs.runs
         total = int(counts.sum())  # exact: no count has more than 9 digits
+        # Maximal runs are the text `_seg_runs_text` writes for this grid.
+        keep = counts.min() > 0 and not (labels[1:] == labels[:-1]).any()
     else:
+        keep = False
         runs = _typed(json.loads(runs) if type(runs) is _Text else runs, list)
         if set(map(len, runs)) != {2}:
             raise TypeError("expected a list of [label, count] pairs")
@@ -496,7 +503,11 @@ def seg_map_from_obj(obj: Mapping) -> SegmentationMap:
     # Checked here because the cast to uint8 would wrap 256 to 0.
     if labels.min() < 0 or labels.max() > 3:
         raise ValueError("labels must be in 0..3")
-    return SegmentationMap(np.repeat(labels.astype(np.uint8), counts).reshape(h, w))
+    seg = SegmentationMap(np.repeat(labels.astype(np.uint8), counts).reshape(h, w))
+    if keep:
+        runs.runs = None
+        object.__setattr__(seg, "_runs_text", runs)
+    return seg
 
 
 def candidate_to_obj(cand: InstanceCandidate) -> dict:
