@@ -6,12 +6,19 @@ the window shifts instead of shrinking. Detection candidates from the
 three middle focal planes describe the same physical objects, so
 overlapping candidates are merged by keeping the single most confident
 one; masks are never fused or averaged.
+
+One kernel, :func:`_pair_iou`, computes every mask overlap from a list of
+pairs. Its callers are :func:`iou_matrix` (the cross product of two
+lists), the merge (the pairs i < j within each pool, every pool of a
+movie in one call), ``synth`` (candidate k against truth k) and the mAP
+blocks (one call per detection block).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from functools import lru_cache
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -120,37 +127,41 @@ def mask_iou(a: BinaryMask, b: BinaryMask) -> float:
     return inter / union
 
 
-def iou_matrix(
-    a: Sequence[BinaryMask], b: Sequence[BinaryMask], _floor: float = 0.0
+def _pair_iou(
+    masks: Sequence[BinaryMask], pi: np.ndarray, pj: np.ndarray, floor: float = 0.0
 ) -> np.ndarray:
-    """(len(a), len(b)) mask IoU matrix, equal pair by pair to :func:`mask_iou`
-    wherever the IoU is at least `_floor`; an entry below it may read 0.
+    """IoU of ``masks[pi[k]]`` and ``masks[pj[k]]`` for every k, equal to
+    :func:`mask_iou` wherever it is at least `floor`; a pair below it may
+    read 0. This is the one mask-overlap kernel: :func:`iou_matrix`, the
+    cross-plane merge, ``synth`` and the mAP blocks all call it.
 
     Masks are never decoded. Each distinct mask's runs are read once, and
-    mask k is laid on flat indices [k*w*h, (k+1)*w*h). A pair is computed
-    only if its bound can reach the floor: the intersection is at most
-    ``imax = min(area_a, area_b, overlap of the tight boxes)``, so IoU is
-    at most ``imax / (area_a + area_b - imax)``, and float division
-    rounds monotonically. A foreground run [s, e) of mask i shares
-    C(e + d) - C(s + d) pixels with mask j, where d = (j - i)*w*h and
-    C(x) counts every mask's foreground pixels below flat index x. IoU is
-    the exact integer intersection over the union, as in the dense
-    reference.
+    the masks are laid end to end on one flat index line. A pair is
+    computed only if its bound can reach the floor: the intersection is
+    at most ``imax = min(area_a, area_b, overlap of the tight boxes)``, so
+    IoU is at most ``imax / (area_a + area_b - imax)``, and float division
+    rounds monotonically. A foreground run [s, e) of mask u shares
+    C(e + d) - C(s + d) pixels with mask v, where d is the distance from
+    u's first index to v's and C(x) counts every mask's foreground pixels
+    below flat index x. IoU is the exact integer intersection over the
+    union, as in the dense reference.
     """
-    if not a or not b:
-        return np.zeros((len(a), len(b)))
-    dims = {(m.width, m.height) for m in (*a, *b)}
-    if len(dims) > 1:
-        raise ShapeMismatchError(f"masks have mixed dimensions: {dims}")
-    ((w, h),) = dims
-
-    distinct = {id(m): m for m in (*a, *b)}
+    pi, pj = np.asarray(pi, dtype=np.intp), np.asarray(pj, dtype=np.intp)
+    distinct = {id(m): m for m in masks}
     slot = {key: k for k, key in enumerate(distinct)}
-    ia = np.array([slot[id(m)] for m in a])
-    ib = np.array([slot[id(m)] for m in b])
-    lengths = np.array([len(m.runs) for m in distinct.values()])
+    index = np.fromiter((slot[id(m)] for m in masks), np.intp, len(masks))
+    u, v = index[pi], index[pj]
+    dims = np.array([(m.width, m.height) for m in distinct.values()], np.int64).reshape(-1, 2)
+    mismatched = np.flatnonzero((dims[u] != dims[v]).any(axis=1))
+    if mismatched.size:
+        (wa, ha), (wb, hb) = dims[u[mismatched[0]]], dims[v[mismatched[0]]]
+        raise ShapeMismatchError(f"mask shapes differ: {wa}x{ha} vs {wb}x{hb}")
+    width, size = dims[:, 0], dims.prod(axis=1)
+
+    lengths = np.array([len(m.runs) for m in distinct.values()], dtype=np.int64)
     runs = chain.from_iterable(m.runs for m in distinct.values())
     ends = np.cumsum(np.fromiter(runs, np.int64, lengths.sum()))
+    base = np.cumsum(size) - size  # each mask's first flat index
     # Each mask's runs start with background, so its odd runs are foreground.
     local = np.arange(ends.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     odd = local % 2 == 1
@@ -167,25 +178,25 @@ def iou_matrix(
     fg = np.flatnonzero(area > 0)
     box = np.zeros((4, len(distinct)), dtype=np.int64)  # x0, x1, y0, y1
     if fg.size:
-        s, last = starts[1:], stops[1:] - 1
+        owner = np.repeat(np.arange(len(distinct)), counts)
+        s, last, w = starts[1:] - base[owner], stops[1:] - 1 - base[owner], width[owner]
         across = s // w != last // w
         at = first[fg] - 1
         box[0, fg] = np.minimum.reduceat(np.where(across, 0, s % w), at)
         box[1, fg] = np.maximum.reduceat(np.where(across, w - 1, last % w), at)
-        box[2, fg] = s[at] // w - fg * h
-        box[3, fg] = last[after[fg] - 2] // w - fg * h
-    ba, bb = box[:, ia, None], box[:, ib][:, None, :]
-    span = np.minimum(ba[1::2], bb[1::2]) - np.maximum(ba[::2], bb[::2]) + 1
-    total = area[ia, None] + area[ib]
-    imax = np.minimum(np.minimum(area[ia, None], area[ib]), span.clip(0).prod(axis=0))
+        box[2, fg] = s[at] // width[fg]
+        box[3, fg] = last[after[fg] - 2] // width[fg]
+    span = np.minimum(box[1::2, u], box[1::2, v]) - np.maximum(box[::2, u], box[::2, v]) + 1
+    total = area[u] + area[v]
+    imax = np.minimum(np.minimum(area[u], area[v]), span.clip(0).prod(axis=0))
     bound = np.divide(imax, total - imax, out=np.zeros(imax.shape), where=imax > 0)
-    pi, pj = np.nonzero((imax > 0) & (bound >= _floor))
+    live = np.flatnonzero((imax > 0) & (bound >= floor))
 
-    # Every foreground run of row mask u, moved into column mask v's block.
-    u, v = ia[pi], ib[pj]
+    # Every foreground run of mask u, moved into mask v's block.
+    u, v = u[live], v[live]
     n = counts[u]
     run = np.repeat(first[u] - np.cumsum(n) + n, n) + np.arange(n.sum())
-    shift = np.repeat((v - u) * (w * h), n)
+    shift = np.repeat(base[v] - base[u], n)
 
     def count_below(x):
         k = np.searchsorted(starts, x, side="right") - 1
@@ -193,9 +204,74 @@ def iou_matrix(
 
     shared = count_below(stops[run] + shift) - count_below(starts[run] + shift)
     inter = np.zeros(total.shape, dtype=np.int64)
-    inter[pi, pj] = np.bincount(np.repeat(np.arange(pi.size), n), shared, pi.size)
+    inter[live] = np.bincount(np.repeat(np.arange(live.size), n), shared, live.size)
     union = total - inter
     return np.divide(inter, union, out=np.zeros(union.shape), where=union > 0)
+
+
+def _cross_pairs(blocks: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(pi, pj) of every row-column pair of each (rows, cols) block, row
+    major, block after block, for a mask list that holds each block's row
+    masks and then its column masks."""
+    pi, pj = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    start = 0
+    for rows, cols in blocks:
+        pi.append(np.repeat(np.arange(start, start + rows), cols))
+        pj.append(np.tile(np.arange(start + rows, start + rows + cols), rows))
+        start += rows + cols
+    return np.concatenate(pi), np.concatenate(pj)
+
+
+def iou_matrix(
+    a: Sequence[BinaryMask], b: Sequence[BinaryMask], _floor: float = 0.0
+) -> np.ndarray:
+    """(len(a), len(b)) mask IoU matrix, equal pair by pair to :func:`mask_iou`
+    wherever the IoU is at least `_floor`; an entry below it may read 0.
+    Every pair goes through the one kernel, :func:`_pair_iou`."""
+    iou = _pair_iou([*a, *b], *_cross_pairs([(len(a), len(b))]), _floor)
+    return iou.reshape(len(a), len(b))
+
+
+@lru_cache(maxsize=64)  # bounded: one odd huge pool must not stay cached
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of every pair i < j of n items, row major."""
+    return np.triu_indices(n, 1)
+
+
+def _merge_pools(
+    pools: Sequence[Sequence[InstanceCandidate]],
+    iou_threshold: float = DEFAULT_MERGE_IOU,
+) -> list[list[InstanceCandidate]]:
+    """:func:`merge_across_planes` of each pool, with one kernel call for
+    the pairs i < j within every pool and none across pools."""
+    orders = []
+    for candidates in pools:
+        if len({c.kind for c in candidates}) > 1:
+            raise MixedKindsError("cannot merge cell and pronucleus candidates together")
+        orders.append(sorted(candidates, key=lambda c: (-c.confidence, c.plane, c.bbox[0])))
+    upper = [_upper_pairs(len(order)) for order in orders]
+    offsets = accumulate((len(order) for order in orders), initial=0)
+    shifted = [(i + offset, j + offset) for (i, j), offset in zip(upper, offsets)]
+    pi = np.concatenate([np.zeros(0, np.intp), *(i for i, _ in shifted)])
+    pj = np.concatenate([np.zeros(0, np.intp), *(j for _, j in shifted)])
+    masks = [c.mask for order in orders for c in order]
+    overlapping = _pair_iou(masks, pi, pj, iou_threshold) >= iou_threshold
+
+    merged = []
+    bounds = list(accumulate((i.size for i, _ in upper), initial=0))
+    for order, pairs, lo, hi in zip(orders, upper, bounds, bounds[1:]):
+        # This pool's own block: row i marks the later candidates it drops.
+        block = np.zeros((len(order), len(order)), dtype=bool)
+        block[pairs] = overlapping[lo:hi]
+        suppressed = np.zeros(len(order), dtype=bool)
+        survivors = []
+        for i, cand in enumerate(order):
+            if suppressed[i]:
+                continue
+            survivors.append(cand)
+            suppressed |= block[i]
+        merged.append(survivors)
+    return merged
 
 
 def merge_across_planes(
@@ -211,25 +287,7 @@ def merge_across_planes(
     x. The survivors are returned in that order, i.e. descending
     confidence.
     """
-    if not candidates:
-        return []
-    kinds = {c.kind for c in candidates}
-    if len(kinds) > 1:
-        raise MixedKindsError("cannot merge cell and pronucleus candidates together")
-
-    order = sorted(
-        candidates, key=lambda c: (-c.confidence, c.plane, c.bbox[0])
-    )
-    masks = [c.mask for c in order]
-    overlapping = iou_matrix(masks, masks, iou_threshold) >= iou_threshold
-    suppressed = np.zeros(len(order), dtype=bool)
-    survivors: list[InstanceCandidate] = []
-    for i, cand in enumerate(order):
-        if suppressed[i]:
-            continue
-        survivors.append(cand)
-        suppressed[i + 1 :] |= overlapping[i, i + 1 :]
-    return survivors
+    return _merge_pools([candidates], iou_threshold)[0]
 
 
 def crop_to_roi(grid: BinaryMask | SegmentationMap, roi: Roi):

@@ -316,6 +316,13 @@ class BinaryMask:
         """
         return self._tight_bbox
 
+    def __deepcopy__(self, memo) -> "BinaryMask":
+        # The fields and the cached box are immutable, so the copy shares
+        # them instead of visiting every run count.
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
+
     @cached_property
     def _tight_bbox(self) -> tuple[int, int, int, int]:
         # Kept in the instance's __dict__, outside the fields `==` and hash read.

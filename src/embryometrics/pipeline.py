@@ -44,8 +44,8 @@ from .geometry import (
     DEFAULT_ROI_SIDE,
     Roi,
     center_roi,
+    _merge_pools,
     embryo_roi,
-    merge_across_planes,
 )
 from .metrics import (
     DEFAULT_MATCH_IOU,
@@ -254,28 +254,30 @@ def run_pipeline(
             decoded = list(argmaxes)
             excluded = exclude_frames(matrix)
 
-        # (4) routing and (5) detection with cross-plane merging. Frame
-        # by frame, cells before pronuclei, planes ascending: the first
-        # failing call names the stage in the BackendError.
+        # (4) routing and (5) detection. Frame by frame, cells before
+        # pronuclei, planes ascending: the first failing call names the
+        # stage in the BackendError.
         jobs = (
             (Detector.CELL, CandidateKind.CELL, "cell_detection", backends.cells),
             (Detector.PRONUCLEUS, CandidateKind.PRONUCLEUS, "pronucleus_detection",
              backends.pronuclei),
         )
+        keys, pools = [], []
         for i in range(n):
             routed = route_frame(decoded[i])
             for detector, kind, stage_name, backend in jobs:
                 if detector not in routed:
                     continue
                 _require_planes(movie, i, detect_planes)
-                pooled = [
+                keys.append((i, detector))
+                pools.append([
                     c
                     for p in detect_planes
                     for c in _call(stage_name, i, _detect, backend, kind, movie, i, p, rois[i])
-                ]
-                found[i][detector] = tuple(
-                    merge_across_planes(pooled, config.merge_iou_threshold)
-                )
+                ])
+        # Cross-plane merging of every (frame, detector) pool at once.
+        for (i, detector), merged in zip(keys, _merge_pools(pools, config.merge_iou_threshold)):
+            found[i][detector] = tuple(merged)
 
     frames = tuple(
         FrameRecord(

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidConfigError
 from .gating import middle_planes
-from .geometry import iou_matrix
+from .geometry import _pair_iou
 from .model import (
     BinaryMask,
     CandidateKind,
@@ -504,15 +504,22 @@ def render_model_outputs(
                         offsets.append(0.0)
             draws.append((kind, truth_masks, jittered, offsets))
 
-    # Every candidate mask of the movie in one pass, then split back.
-    all_masks = iter(_disk_masks(size, [c for d in draws for c in d[2]]))
+    # Every candidate mask of the movie in one pass, and one kernel call
+    # for only the pairs read: candidate k of each plane against truth k.
+    candidates = _disk_masks(size, [c for d in draws for c in d[2]])
+    truth_at = accumulate((len(d[1]) for d in draws), initial=len(candidates))
+    pj = [at + np.tile(np.arange(len(d[1])), len(planes)) for d, at in zip(draws, truth_at)]
+    all_ious = _pair_iou(
+        [*candidates, *(m for d in draws for m in d[1])],
+        np.arange(len(candidates)),
+        np.concatenate([np.zeros(0, np.intp), *pj]),
+    )
+    ends = accumulate(len(d[2]) for d in draws)
     found = []
-    for kind, truth_masks, jittered, offsets in draws:
-        # One matrix for every plane: candidate k of a plane against truth mask k.
-        masks = list(islice(all_masks, len(jittered)))
-        n = len(jittered) // len(planes)
-        iou = iou_matrix(masks, truth_masks).reshape(len(planes), n, len(truth_masks))
-        ious = np.diagonal(iou, axis1=1, axis2=2)
+    for (kind, truth_masks, jittered, offsets), end in zip(draws, ends):
+        start, n = end - len(jittered), len(truth_masks)
+        masks = candidates[start:end]
+        ious = all_ious[start:end].reshape(len(planes), n)
         confidence = np.clip(ious + np.reshape(offsets, ious.shape), 0.0, 1.0)
         found.append(
             {
