@@ -8,16 +8,16 @@ overlapping candidates are merged by keeping the single most confident
 one; masks are never fused or averaged.
 
 One kernel, :func:`_pair_iou`, computes every mask overlap from a list of
-pairs. Its callers are :func:`iou_matrix` (the cross product of two
-lists), the merge (the pairs i < j within each pool, every pool of a
-movie in one call), ``synth`` (candidate k against truth k) and the mAP
-blocks (one call per detection block).
+pairs. Its callers are :func:`_iou_blocks` (the cross product of each of
+several pairs of lists in one call; :func:`iou_matrix` is its one-block
+case, and each mAP detection block is one call), the merge (the pairs
+i < j within each pool, every pool of a movie in one call) and ``synth``
+(candidate k against truth k).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, chain
 from typing import Sequence
 
@@ -164,9 +164,9 @@ def _pair_iou(
     base = np.cumsum(size) - size  # each mask's first flat index
     # Each mask's runs start with background, so its odd runs are foreground.
     local = np.arange(ends.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    odd = local % 2 == 1
+    odd = np.flatnonzero(local & 1)
     # A sentinel run [-1, -1) first keeps every lookup below in range.
-    starts = np.concatenate(([-1], ends[:-1][odd[1:]]))
+    starts = np.concatenate(([-1], ends[odd - 1]))
     stops = np.concatenate(([-1], ends[odd]))
     before = np.concatenate(([0], np.cumsum(stops - starts)))  # C at each start
     counts = lengths // 2  # foreground runs per mask
@@ -179,13 +179,15 @@ def _pair_iou(
     box = np.zeros((4, len(distinct)), dtype=np.int64)  # x0, x1, y0, y1
     if fg.size:
         owner = np.repeat(np.arange(len(distinct)), counts)
-        s, last, w = starts[1:] - base[owner], stops[1:] - 1 - base[owner], width[owner]
-        across = s // w != last // w
+        w = width[owner]
+        sy, sx = np.divmod(starts[1:] - base[owner], w)  # row, column of each start
+        ly, lx = np.divmod(stops[1:] - 1 - base[owner], w)  # and of each last pixel
+        across = sy != ly
         at = first[fg] - 1
-        box[0, fg] = np.minimum.reduceat(np.where(across, 0, s % w), at)
-        box[1, fg] = np.maximum.reduceat(np.where(across, w - 1, last % w), at)
-        box[2, fg] = s[at] // width[fg]
-        box[3, fg] = last[after[fg] - 2] // width[fg]
+        box[0, fg] = np.minimum.reduceat(np.where(across, 0, sx), at)
+        box[1, fg] = np.maximum.reduceat(np.where(across, w - 1, lx), at)
+        box[2, fg] = sy[at]
+        box[3, fg] = ly[after[fg] - 2]
     span = np.minimum(box[1::2, u], box[1::2, v]) - np.maximum(box[::2, u], box[::2, v]) + 1
     total = area[u] + area[v]
     imax = np.minimum(np.minimum(area[u], area[v]), span.clip(0).prod(axis=0))
@@ -209,17 +211,25 @@ def _pair_iou(
     return np.divide(inter, union, out=np.zeros(union.shape), where=union > 0)
 
 
-def _cross_pairs(blocks: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(pi, pj) of every row-column pair of each (rows, cols) block, row
-    major, block after block, for a mask list that holds each block's row
-    masks and then its column masks."""
+def _iou_blocks(
+    blocks: Sequence[tuple[Sequence[BinaryMask], Sequence[BinaryMask]]],
+    floor: float = 0.0,
+) -> list[np.ndarray]:
+    """The (len(a), len(b)) :func:`iou_matrix` of each (a, b) block, all
+    blocks in one :func:`_pair_iou` call."""
+    masks: list[BinaryMask] = []
     pi, pj = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
-    start = 0
-    for rows, cols in blocks:
-        pi.append(np.repeat(np.arange(start, start + rows), cols))
-        pj.append(np.tile(np.arange(start + rows, start + rows + cols), rows))
-        start += rows + cols
-    return np.concatenate(pi), np.concatenate(pj)
+    for a, b in blocks:
+        start = len(masks)  # block's row masks, then its column masks
+        pi.append(np.repeat(np.arange(start, start + len(a)), len(b)))
+        pj.append(np.tile(np.arange(start + len(a), start + len(a) + len(b)), len(a)))
+        masks += [*a, *b]
+    flat = _pair_iou(masks, np.concatenate(pi), np.concatenate(pj), floor)
+    ends = list(accumulate((len(a) * len(b) for a, b in blocks), initial=0))
+    return [
+        flat[lo:hi].reshape(len(a), len(b))
+        for (a, b), lo, hi in zip(blocks, ends, ends[1:])
+    ]
 
 
 def iou_matrix(
@@ -228,14 +238,7 @@ def iou_matrix(
     """(len(a), len(b)) mask IoU matrix, equal pair by pair to :func:`mask_iou`
     wherever the IoU is at least `_floor`; an entry below it may read 0.
     Every pair goes through the one kernel, :func:`_pair_iou`."""
-    iou = _pair_iou([*a, *b], *_cross_pairs([(len(a), len(b))]), _floor)
-    return iou.reshape(len(a), len(b))
-
-
-@lru_cache(maxsize=64)  # bounded: one odd huge pool must not stay cached
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) of every pair i < j of n items, row major."""
-    return np.triu_indices(n, 1)
+    return _iou_blocks([(a, b)], _floor)[0]
 
 
 def _merge_pools(
@@ -249,29 +252,26 @@ def _merge_pools(
         if len({c.kind for c in candidates}) > 1:
             raise MixedKindsError("cannot merge cell and pronucleus candidates together")
         orders.append(sorted(candidates, key=lambda c: (-c.confidence, c.plane, c.bbox[0])))
-    upper = [_upper_pairs(len(order)) for order in orders]
-    offsets = accumulate((len(order) for order in orders), initial=0)
-    shifted = [(i + offset, j + offset) for (i, j), offset in zip(upper, offsets)]
-    pi = np.concatenate([np.zeros(0, np.intp), *(i for i, _ in shifted)])
-    pj = np.concatenate([np.zeros(0, np.intp), *(j for _, j in shifted)])
-    masks = [c.mask for order in orders for c in order]
-    overlapping = _pair_iou(masks, pi, pj, iou_threshold) >= iou_threshold
+    sizes = [len(order) for order in orders]
+    ranked = [c for order in orders for c in order]
+    # Row i of a pool pairs candidate i with each later one of its pool.
+    later = np.repeat(np.cumsum(sizes, dtype=np.intp), sizes) - np.arange(len(ranked)) - 1
+    pi = np.repeat(np.arange(len(ranked)), later)
+    pj = pi + 1 + np.arange(pi.size) - np.repeat(np.cumsum(later) - later, later)
+    hit = _pair_iou([c.mask for c in ranked], pi, pj, iou_threshold) >= iou_threshold
 
-    merged = []
-    bounds = list(accumulate((i.size for i, _ in upper), initial=0))
-    for order, pairs, lo, hi in zip(orders, upper, bounds, bounds[1:]):
-        # This pool's own block: row i marks the later candidates it drops.
-        block = np.zeros((len(order), len(order)), dtype=bool)
-        block[pairs] = overlapping[lo:hi]
-        suppressed = np.zeros(len(order), dtype=bool)
-        survivors = []
-        for i, cand in enumerate(order):
-            if suppressed[i]:
-                continue
-            survivors.append(cand)
-            suppressed |= block[i]
-        merged.append(survivors)
-    return merged
+    # The pairs come pool by pool, row by row, so every pair (k, i) is
+    # read before row i: whether i survives is settled before it drops
+    # the later candidates it overlaps.
+    dropped = [False] * len(ranked)
+    for i, j in zip(pi[hit].tolist(), pj[hit].tolist()):
+        if not dropped[i]:
+            dropped[j] = True
+    offsets = list(accumulate(sizes, initial=0))
+    return [
+        [c for c, gone in zip(ranked[lo:hi], dropped[lo:hi]) if not gone]
+        for lo, hi in zip(offsets, offsets[1:])
+    ]
 
 
 def merge_across_planes(

@@ -12,7 +12,6 @@ precision envelope) and mAP averages AP over IoU thresholds
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,7 +24,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .gating import DEFAULT_FRAGMENTATION_THRESHOLD
-from .geometry import _cross_pairs, _pair_iou, iou_matrix
+from .geometry import _iou_blocks, iou_matrix
 from .model import (
     BinaryMask,
     InstanceCandidate,
@@ -217,16 +216,11 @@ def _average_precisions(
     if n_truths == 0:
         raise NoTruthsError("no ground-truth instances in the evaluation set")
     confidences = [[c.confidence for c in preds] for preds in preds_per_image]
-    # One kernel call for every image's block, split back per image.
-    blocks = [(len(preds), len(truths)) for preds, truths in zip(preds_per_image, truths_per_image)]
-    masks = [
-        m
+    # One kernel call for every image's (predictions, truths) block.
+    ious = _iou_blocks([
+        ([c.mask for c in preds], truths)
         for preds, truths in zip(preds_per_image, truths_per_image)
-        for m in (*(c.mask for c in preds), *truths)
-    ]
-    flat = _pair_iou(masks, *_cross_pairs(blocks))
-    ends = list(accumulate((rows * cols for rows, cols in blocks), initial=0))
-    ious = [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], blocks)]
+    ])
     pooled = np.asarray([c for image in confidences for c in image], dtype=np.float64)
     order = np.argsort(-pooled, kind="stable")
     aps = []

@@ -2,8 +2,9 @@
 
 `_pair_iou` is checked pair by pair against the dense `mask_iou`;
 `_merge_pools` pool by pool against the greedy suppression that
-`merge_across_planes` ran on its own, with `mask_iou` taken for each
-pair; the mAP blocks' one kernel call per block against `iou_matrix`
+`merge_across_planes` ran on its own, with `mask_iou` or the boxed kernel
+taken for each pair, on Hypothesis pools and on every noisy synth pool of
+a movie in one call; the mAP blocks' one kernel call per block against `iou_matrix`
 image by image. `BinaryMask`'s deep copy is checked against the copy
 `copy.deepcopy` built field by field.
 """
@@ -24,13 +25,22 @@ from embryometrics.geometry import (
 )
 from embryometrics.metrics import _average_precisions, mean_average_precision
 from embryometrics.model import BinaryMask, CandidateKind
+from embryometrics.synth import NoiseConfig, SynthConfig, generate_movie, render_model_outputs
 
 from conftest import candidate, disk_mask
-from test_fast_paths import EMPTY, GRID, mask_arrays, nested_disks, synth_disks
+from test_fast_paths import (
+    EMPTY,
+    GRID,
+    boxed_iou_matrix,
+    mask_arrays,
+    nested_disks,
+    synth_disks,
+)
 
 
-def reference_merge(candidates, threshold):
-    """`merge_across_planes` as it was: one pool, `mask_iou` pair by pair."""
+def reference_merge(candidates, threshold, iou=mask_iou):
+    """`merge_across_planes` as it was: one pool, the greedy suppression
+    with `iou(a, b)` of two masks taken pair by pair."""
     if not candidates:
         return []
     if len({c.kind for c in candidates}) > 1:
@@ -43,7 +53,7 @@ def reference_merge(candidates, threshold):
             continue
         survivors.append(cand)
         for j in range(i + 1, len(order)):
-            if mask_iou(cand.mask, order[j].mask) >= threshold:
+            if iou(cand.mask, order[j].mask) >= threshold:
                 suppressed[j] = True
     return survivors
 
@@ -192,6 +202,64 @@ class TestMergePools:
             _merge_pools([[candidate(disk, 0.5)], mixed])
         with pytest.raises(MixedKindsError):
             merge_across_planes(mixed)
+
+
+def iou_table(masks, matrix):
+    """`iou(a, b)` of two of `masks`, read from their (n, n) `matrix`."""
+    at = {id(m): k for k, m in enumerate(masks)}
+    return lambda a, b: matrix[at[id(a)], at[id(b)]]
+
+
+def memo_mask_iou():
+    """`mask_iou`, computed once per pair of mask objects."""
+    seen = {}
+
+    def iou(a, b):
+        key = (id(a), id(b))
+        if key not in seen:
+            seen[key] = mask_iou(a, b)
+        return seen[key]
+
+    return iou
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_synth_pools_in_one_call(seed):
+    """Every cell and pronucleus pool of a noisy synth movie, merged in one
+    `_merge_pools` call as `run_pipeline` does, keeps the survivors, in the
+    same order, that the greedy keeps with `mask_iou` pair by pair and
+    with the boxed kernel."""
+    cfg = SynthConfig(
+        seed=seed,
+        frames=40,
+        noise=NoiseConfig(mask_jitter_px=3.0, confidence_sigma=0.05),
+    )
+    _, truth = generate_movie(cfg)
+    rendered = render_model_outputs(truth, cfg)
+    pools = [
+        [c for plane in sorted(frame) for c in frame[plane]]
+        for frame in (*rendered.cells, *rendered.pronuclei)
+    ]
+    pools = [pool for pool in pools if pool]
+    assert len(pools) >= 24 and max(map(len, pools)) == 24
+    assert len({pool[0].kind for pool in pools}) == 2
+    exact = memo_mask_iou()
+    boxed = [
+        iou_table(masks, boxed_iou_matrix(masks, masks))
+        for masks in ([c.mask for c in pool] for pool in pools)
+    ]
+    ids = lambda merged: [list(map(id, survivors)) for survivors in merged]  # noqa: E731
+    kept = {}
+    for threshold in (0.3, 0.5, 0.7, 0.9):
+        merged = _merge_pools(pools, threshold)
+        assert ids(merged) == ids(reference_merge(p, threshold, exact) for p in pools)
+        assert ids(merged) == ids(
+            reference_merge(p, threshold, iou) for p, iou in zip(pools, boxed)
+        )
+        kept[threshold] = sum(map(len, merged))
+    # The merge is not trivial: at 0.5 it drops candidates, yet keeps more
+    # than one per pool on average.
+    assert len(pools) < kept[0.5] < sum(map(len, pools))
 
 
 @st.composite
