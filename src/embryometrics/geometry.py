@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .model import BinaryMask, InstanceCandidate, SegClass, SegmentationMap
+from .model import BinaryMask, InstanceCandidate, SegClass, SegmentationMap, _runs_bbox
 
 DEFAULT_ROI_SIDE = 328
 DEFAULT_MERGE_IOU = 0.5
@@ -94,22 +94,35 @@ def embryo_roi(seg_map: SegmentationMap, side: int = DEFAULT_ROI_SIDE) -> Roi:
 
     The center is the tight bounding box center of all pixels labeled
     zona or inside-zona, with half-pixel midpoints rounded up so the
-    result shifts exactly with the embryo.
+    result shifts exactly with the embryo. A map read from a file holds
+    runs and no grid; its box comes off its zona runs, so it is not
+    decoded.
 
     Raises:
         NoEmbryoError: the map contains no zona / inside-zona pixels;
             callers should fall back to :func:`center_roi` and report it.
     """
     # Labels are 0..3, so >= ZONA is zona or inside-zona; a plain int keeps
-    # numpy from casting the uint8 grid to the enum's int64.
-    labels, zona = seg_map.labels, int(SegClass.ZONA)
-    rows = np.flatnonzero(labels.max(axis=1) >= zona)
-    if rows.size == 0:
-        raise NoEmbryoError("segmentation contains no zona or inside-zona pixels")
-    cols = np.flatnonzero(labels[rows[0] : rows[-1] + 1].max(axis=0) >= zona)
-    cx = (int(cols[0]) + int(cols[-1]) + 1) // 2
-    cy = (int(rows[0]) + int(rows[-1]) + 1) // 2
-    return roi_around((cx, cy), side, seg_map.width, seg_map.height)
+    # numpy from casting the uint8 labels to the enum's int64.
+    zona = int(SegClass.ZONA)
+    if seg_map._runs is not None:
+        # A map read from a file: the box of its zona runs, off the runs.
+        labels, counts = seg_map._runs
+        stops = np.cumsum(counts)
+        runs = np.flatnonzero(labels >= zona)
+        if runs.size == 0:
+            raise NoEmbryoError("segmentation contains no zona or inside-zona pixels")
+        stops = stops[runs]
+        x, y, w, h = _runs_bbox(stops - counts[runs], stops - 1, seg_map.width)
+    else:
+        labels = seg_map.labels
+        rows = np.flatnonzero(labels.max(axis=1) >= zona)
+        if rows.size == 0:
+            raise NoEmbryoError("segmentation contains no zona or inside-zona pixels")
+        cols = np.flatnonzero(labels[rows[0] : rows[-1] + 1].max(axis=0) >= zona)
+        x, y = int(cols[0]), int(rows[0])
+        w, h = int(cols[-1]) - x + 1, int(rows[-1]) - y + 1
+    return roi_around((x + w // 2, y + h // 2), side, seg_map.width, seg_map.height)
 
 
 def mask_iou(a: BinaryMask, b: BinaryMask) -> float:

@@ -2,6 +2,9 @@
 agreement, stage accuracy and confusion, instance matching,
 precision/recall, mean average precision, and area-ratio statistics.
 
+Pixel accuracy is counted off run-length encodings, as seg maps read
+from a file hold them, so no label grid is decoded to score a movie.
+
 Instance matching is greedy by descending confidence with one-to-one
 pred/truth pairing, the convention used by the standard detection
 benchmarks; AP uses all-point interpolation (exact area under the
@@ -31,6 +34,7 @@ from .model import (
     SegClass,
     SegmentationMap,
     StageClass,
+    _value_runs,
 )
 
 MAP_IOU_THRESHOLDS: tuple[float, ...] = tuple(
@@ -53,33 +57,83 @@ class MatchResult:
         return len(self.pairs)
 
 
-def _as_label_array(m: SegmentationMap | np.ndarray) -> np.ndarray:
-    return m.labels if isinstance(m, SegmentationMap) else np.asarray(m)
+def _runs(
+    labels: SegmentationMap | np.ndarray | Sequence[SegmentationMap],
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], tuple[int, ...]]:
+    """The row-major (labels, counts) runs of each frame of a map, a label
+    array, or a sequence of maps, and the shape the other side must have:
+    a sequence's is its pixel total."""
+    if isinstance(labels, SegmentationMap):
+        return [labels._label_runs()], (labels.height, labels.width)
+    if isinstance(labels, (list, tuple)) and all(
+        isinstance(m, SegmentationMap) for m in labels
+    ):
+        return [m._label_runs() for m in labels], (sum(m.width * m.height for m in labels),)
+    arr = np.asarray(labels)
+    return [_value_runs(arr.ravel())] if arr.size else [], arr.shape
+
+
+def _agreement(p_labels, p_counts, t_labels, t_counts) -> tuple[np.ndarray, np.ndarray]:
+    """(agreeing pixels, truth pixels) of each class 0..3, and in slot 4
+    of labels that are no class, for two run lists of one line of pixels.
+
+    Every run end of both lists, in order, ends a piece of the line that
+    lies in one run of each; a piece whose labels agree counts in full.
+    """
+    # The last pred run ends where the last truth run does. Equal ends
+    # make an empty piece, which counts nothing.
+    p_ends, t_ends = np.cumsum(p_counts)[:-1], np.cumsum(t_counts)
+    at = np.searchsorted(p_ends, t_ends) + np.arange(t_ends.size)
+    is_pred = np.ones(p_ends.size + t_ends.size, dtype=bool)
+    is_pred[at] = False
+    ends = np.empty(is_pred.size, dtype=np.int64)
+    ends[at], ends[is_pred] = t_ends, p_ends
+    first = np.concatenate(([0], at[:-1] + 1))  # each truth run's first piece
+    pieces = at - first + 1
+    t_run = np.repeat(np.arange(t_ends.size), pieces)
+    # Piece k lies in truth run t_run[k], so k - t_run[k] pred ends precede it.
+    agree = p_labels[np.arange(is_pred.size) - t_run] == np.repeat(t_labels, pieces)
+    matched = np.add.reduceat(np.where(agree, np.diff(ends, prepend=0), 0), first)
+    t_class = np.where(np.isin(t_labels, range(4)), t_labels, 4).astype(np.intp)
+    return np.bincount(t_class, matched, 5), np.bincount(t_class, t_counts, 5)
 
 
 def pixel_accuracy(
-    pred: SegmentationMap | np.ndarray, truth: SegmentationMap | np.ndarray
+    pred: SegmentationMap | np.ndarray | Sequence[SegmentationMap],
+    truth: SegmentationMap | np.ndarray | Sequence[SegmentationMap],
 ) -> tuple[float, dict[SegClass, float]]:
     """Overall and per-class pixel accuracy.
 
-    per_class[c] is the fraction of truth-c pixels predicted c; classes
-    absent from the truth are omitted rather than reported as 0 or 1.
-    Labels are compared with plain ints, which keep uint8 grids uint8.
+    ``pred`` and ``truth`` are each a map, a label array, or a sequence of
+    maps (a movie), which is scored as its maps' pixels laid end to end:
+    two sequences need equal pixel totals, and two maps or arrays equal
+    shapes. per_class[c] is the fraction of truth-c pixels predicted c;
+    classes absent from the truth are omitted rather than reported as 0
+    or 1.
+
+    Nothing is decoded: both sides are counted off their runs, frame by
+    frame where the frames pair up in size, else as one line each.
     """
-    p = _as_label_array(pred)
-    t = _as_label_array(truth)
-    if p.shape != t.shape:
-        raise ShapeMismatchError(f"map shapes differ: {p.shape} vs {t.shape}")
-    if t.size == 0:
+    p_runs, p_shape = _runs(pred)
+    t_runs, t_shape = _runs(truth)
+    if p_shape != t_shape:
+        raise ShapeMismatchError(f"map shapes differ: {p_shape} vs {t_shape}")
+    if not t_runs:
         raise EmptyInputError("no pixels to evaluate")
-    equal = p == t
-    overall = float(equal.mean())
-    per_class: dict[SegClass, float] = {}
-    for c in SegClass:
-        sel = t == int(c)
-        n = np.count_nonzero(sel)
-        if n > 0:
-            per_class[c] = float(np.count_nonzero(equal & sel) / n)
+    if [c.sum() for _, c in p_runs] != [c.sum() for _, c in t_runs]:
+        # Frames that differ in size: each side's pixels as one line.
+        p_runs, t_runs = (
+            [tuple(map(np.concatenate, zip(*runs)))] for runs in (p_runs, t_runs)
+        )
+    matched = totals = 0
+    for (p_labels, p_counts), (t_labels, t_counts) in zip(p_runs, t_runs):
+        agreeing, pixels = _agreement(p_labels, p_counts, t_labels, t_counts)
+        matched, totals = matched + agreeing, totals + pixels
+    # Sums of integers below 2**53, so the float sums are exact.
+    overall = int(matched.sum()) / int(totals.sum())
+    per_class = {
+        c: int(matched[c]) / int(totals[c]) for c in SegClass if totals[c] > 0
+    }
     return overall, per_class
 
 

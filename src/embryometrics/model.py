@@ -219,14 +219,47 @@ class ConfusionMatrix:
         return cls(rows)
 
 
+def _value_runs(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value and length of each run of equal values in the non-empty
+    1-D array ``flat``.
+
+    A run starts at index 0 and at each flat index where the value
+    changes. This is the one grid-to-runs encoder: binary masks, label
+    grids and label arrays are all encoded by it.
+    """
+    starts = np.concatenate(([0], np.flatnonzero(flat[1:] != flat[:-1]) + 1))
+    return flat[starts], np.diff(starts, append=flat.size)
+
+
+def _runs_bbox(first: np.ndarray, last: np.ndarray, width: int) -> tuple[int, int, int, int]:
+    """Tight (x, y, w, h) box of the runs from flat index ``first[k]`` to
+    ``last[k]`` inclusive, in row-major order on a grid ``width`` wide;
+    there is at least one run."""
+    y0, y1 = int(first[0]) // width, int(last[-1]) // width
+    if np.any(first // width != last // width):
+        # A run across a row break covers the last and the first column.
+        x0, x1 = 0, width - 1
+    else:
+        x0, x1 = int((first % width).min()), int((last % width).max())
+    return (x0, y0, x1 - x0 + 1, y1 - y0 + 1)
+
+
 @dataclass(frozen=True)
 class SegmentationMap:
-    """Per-pixel 4-class zona segmentation on a width x height grid."""
+    """Per-pixel 4-class zona segmentation on a width x height grid.
+
+    A map built from a grid holds the grid. A map built from runs
+    (``_from_runs``, as ``serialize`` reads a canonical file) holds only
+    its runs and decodes ``labels`` on first read, keeping the grid in the
+    instance's ``__dict__``; ``==``, hash and repr read ``labels`` either way.
+    """
 
     labels: np.ndarray  # (height, width) uint8 with values in SegClass
-    # The canonical runs text the map was read from, which serialize
-    # writes back; set on the instance, outside the field `==` and hash read.
+    # Set on the instance, outside the field `==` and hash read: the
+    # canonical runs text the map was read from, which serialize writes
+    # back, and the (labels uint8, counts int64) runs it was built from.
     _runs_text: ClassVar[str | None] = None
+    _runs: ClassVar[tuple[np.ndarray, np.ndarray] | None] = None
 
     def __init__(self, labels: np.ndarray | Sequence[Sequence[int]]):
         arr = np.asarray(labels)
@@ -237,14 +270,48 @@ class SegmentationMap:
         grid = arr.astype(np.uint8)  # a copy, whatever the input's dtype
         grid.flags.writeable = False
         object.__setattr__(self, "labels", grid)
+        object.__setattr__(self, "_shape", grid.shape)
+
+    @classmethod
+    def _from_runs(
+        cls, labels: np.ndarray, counts: np.ndarray, width: int, height: int
+    ) -> "SegmentationMap":
+        """The map whose row-major pixels are ``counts[i]`` copies of
+        ``labels[i]``, in order, without its grid. The caller has checked
+        that the labels are in 0..3 and the counts cover the grid; the runs
+        are kept as given, so they are maximal if the caller's are.
+        """
+        if width <= 0 or height <= 0:
+            raise ValidationError("segmentation map must be a non-empty 2-D grid")
+        runs = (labels.astype(np.uint8), np.asarray(counts, dtype=np.int64))
+        for arr in runs:
+            arr.flags.writeable = False
+        seg = object.__new__(cls)
+        seg.__dict__.update(_runs=runs, _shape=(height, width))
+        return seg
+
+    def __getattr__(self, name: str):
+        # Reached only for what the instance does not hold: the grid of a
+        # map built from runs, decoded once.
+        if name != "labels" or self._runs is None:
+            raise AttributeError(name)
+        grid = np.repeat(*self._runs).reshape(self._shape)
+        grid.flags.writeable = False
+        self.__dict__["labels"] = grid
+        return grid
+
+    def _label_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, counts) of the map's maximal row-major runs: the runs
+        it was built from, or else encoded from its grid."""
+        return self._runs if self._runs is not None else _value_runs(self.labels.ravel())
 
     @property
     def width(self) -> int:
-        return int(self.labels.shape[1])
+        return self._shape[1]
 
     @property
     def height(self) -> int:
-        return int(self.labels.shape[0])
+        return self._shape[0]
 
 
 @dataclass(frozen=True)
@@ -286,10 +353,10 @@ class BinaryMask:
         a = np.asarray(arr)
         if a.ndim != 2 or a.size == 0:
             raise ValidationError("mask must be a non-empty 2-D grid")
-        # Each flat index where the value changes ends a run.
-        edges = np.flatnonzero(np.diff((a != 0).ravel(), prepend=False, append=False))
-        runs = np.diff(edges, prepend=0, append=a.size)
-        return cls(a.shape[1], a.shape[0], tuple(np.trim_zeros(runs, "b").tolist()))
+        foreground, counts = _value_runs((a != 0).ravel())
+        # The runs start with background, which may be empty.
+        runs = ([0] if foreground[0] else []) + counts.tolist()
+        return cls(a.shape[1], a.shape[0], tuple(runs))
 
     def to_array(self) -> np.ndarray:
         """Decode to a (height, width) boolean array."""
@@ -327,17 +394,9 @@ class BinaryMask:
     def _tight_bbox(self) -> tuple[int, int, int, int]:
         # Kept in the instance's __dict__, outside the fields `==` and hash read.
         first, stop = self._foreground()
-        last = stop - 1
         if first.size == 0:
             raise ValidationError("empty mask has no bounding box")
-        w = self.width
-        y0, y1 = int(first[0]) // w, int(last[-1]) // w
-        if np.any(first // w != last // w):
-            # A run across a row break covers the last and the first column.
-            x0, x1 = 0, w - 1
-        else:
-            x0, x1 = int((first % w).min()), int((last % w).max())
-        return (x0, y0, x1 - x0 + 1, y1 - y0 + 1)
+        return _runs_bbox(first, stop - 1, self.width)
 
 
 @dataclass(frozen=True)

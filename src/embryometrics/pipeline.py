@@ -333,11 +333,7 @@ def evaluate_run(
             f"result has {len(result.frames)} frames, truth {len(truth.stages)}"
         )
 
-    pred_labels = np.concatenate(
-        [f.seg_map.labels.ravel() for f in result.frames]
-    )
-    truth_labels = np.concatenate([m.labels.ravel() for m in truth.seg_maps])
-    overall, per_class = pixel_accuracy(pred_labels, truth_labels)
+    overall, per_class = pixel_accuracy([f.seg_map for f in result.frames], truth.seg_maps)
     segmentation = SegmentationBlock(
         overall=overall, per_class=per_class, n_frames=len(result.frames)
     )

@@ -13,7 +13,9 @@ canonical file builds a list per run either. Any other spelling sends
 the whole text to ``json``, which reads it, or rejects it, as before.
 A map read from canonical, maximal runs (no zero count, no two
 neighbouring runs with one label) keeps that text and is written back
-from it without encoding its grid again; any other spelling is written
+from it without encoding its grid again. It holds the parsed runs and
+no grid (``SegmentationMap._from_runs``), and decodes its grid only if
+``labels`` is read. Any other spelling is decoded at once and written
 from the grid.
 
 Every other record is read off its dataclass: ``_to_json`` writes it
@@ -410,9 +412,7 @@ def _seg_runs_text(seg: SegmentationMap) -> str:
     written one decimal place at a time over all runs that have it. The
     last run's ``,`` becomes the closing ``]``.
     """
-    flat = seg.labels.ravel()
-    starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
-    counts = np.diff(starts, append=flat.size)
+    labels, counts = seg._label_runs()
     n = np.searchsorted(_POWERS_OF_TEN, counts, side="right") + 1
     size = n + 5
     at = 1 + np.cumsum(size) - size
@@ -420,7 +420,7 @@ def _seg_runs_text(seg: SegmentationMap) -> str:
     buf = np.empty(end[-1] + 2, dtype=np.uint8)
     buf[0] = ord("[")
     buf[at] = ord("[")
-    buf[at + 1] = flat[starts] + ord("0")
+    buf[at + 1] = labels + ord("0")
     buf[at + 2] = ord(",")
     buf[end] = ord("]")
     buf[end + 1] = ord(",")
@@ -503,10 +503,11 @@ def seg_map_from_obj(obj: Mapping) -> SegmentationMap:
     # Checked here because the cast to uint8 would wrap 256 to 0.
     if labels.min() < 0 or labels.max() > 3:
         raise ValueError("labels must be in 0..3")
-    seg = SegmentationMap(np.repeat(labels.astype(np.uint8), counts).reshape(h, w))
-    if keep:
-        runs.runs = None
-        object.__setattr__(seg, "_runs_text", runs)
+    seg = SegmentationMap._from_runs(labels, counts, w, h)
+    if not keep:
+        return SegmentationMap(seg.labels)  # decoded now, written from the grid
+    runs.runs = None
+    object.__setattr__(seg, "_runs_text", runs)
     return seg
 
 

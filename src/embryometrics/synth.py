@@ -427,6 +427,18 @@ def generate_movie(config: SynthConfig) -> tuple[EmbryoMovie, GroundTruth]:
     return movie, truth
 
 
+def _flip_labels(labels: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """A copy of the label grid in which each pixel, with probability
+    ``rate``, moves to a uniformly random *other* class. Draws one uniform
+    and then one class shift per pixel, in row-major order."""
+    out = np.array(labels)
+    flat = out.reshape(-1)
+    flip = np.flatnonzero(rng.random(flat.size) < rate)
+    shift = rng.integers(1, 4, size=flat.size)
+    flat[flip] = (flat[flip] + shift[flip]) % 4
+    return out
+
+
 def render_model_outputs(
     truth: GroundTruth, config: SynthConfig
 ) -> RenderedOutputs:
@@ -473,12 +485,7 @@ def render_model_outputs(
         # Zona segmentation with pixel flips.
         seg = truth.seg_maps[i]
         if noise.seg_flip_rate > 0:
-            labels = np.array(seg.labels)
-            flip = rng.random(labels.shape) < noise.seg_flip_rate
-            # A flipped pixel moves to a uniformly random *other* class.
-            shift = rng.integers(1, 4, size=labels.shape).astype(np.uint8)
-            labels[flip] = (labels[flip] + shift[flip]) % 4
-            seg = SegmentationMap(labels)
+            seg = SegmentationMap(_flip_labels(seg.labels, noise.seg_flip_rate, rng))
         seg_maps.append(seg)
 
         # Candidate circles: the true ones, jittered, on each middle plane.

@@ -78,6 +78,14 @@ def boxed_iou_matrix(a, b, _floor=0.0) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros(union.shape), where=union > 0)
 
 
+def boxed_pair_iou(masks, pi, pj, floor=0.0) -> np.ndarray:
+    """`geometry._pair_iou` pair by pair through `boxed_iou_matrix`; like
+    it, this ignores `floor`."""
+    return np.array(
+        [boxed_iou_matrix([masks[i]], [masks[j]])[0, 0] for i, j in zip(pi, pj)], dtype=float
+    )
+
+
 def comprehension_seg_runs(seg: SegmentationMap) -> list[list[int]]:
     """The per-run list comprehension `seg_map_to_obj` used to be."""
     flat = seg.labels.ravel()
@@ -258,7 +266,7 @@ def test_merge_matches_boxed_kernel(seed, monkeypatch):
     pools = [pool for pool in pools if pool]
     thresholds = (0.3, 0.5, 0.7, 0.9)
     runs = [[merge_across_planes(p, t) for p in pools] for t in thresholds]
-    monkeypatch.setattr(geometry, "iou_matrix", boxed_iou_matrix)
+    monkeypatch.setattr(geometry, "_pair_iou", boxed_pair_iou)
     boxed = [[merge_across_planes(p, t) for p in pools] for t in thresholds]
     assert len(pools) >= 8
     for merged, reference in zip(runs, boxed):

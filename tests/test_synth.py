@@ -7,6 +7,7 @@ from embryometrics.serialize import movie_to_obj, truth_to_obj
 from embryometrics.synth import (
     NoiseConfig,
     SynthConfig,
+    _flip_labels,
     derive_embryo_seed,
     generate_movie,
     render_model_outputs,
@@ -127,6 +128,30 @@ class TestGenerateMovie:
         fractions = counts / counts.sum()
         for got, target in zip(fractions, (0.38, 0.06, 0.54)):
             assert abs(got - target) <= 0.03
+
+
+def boolean_mask_flips(labels, rate, rng):
+    """The seg-pixel flips `render_model_outputs` made with boolean masks."""
+    labels = np.array(labels)
+    flip = rng.random(labels.shape) < rate
+    shift = rng.integers(1, 4, size=labels.shape).astype(np.uint8)
+    labels[flip] = (labels[flip] + shift[flip]) % 4
+    return labels
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("seed", range(5))
+def test_flips_by_index_match_the_boolean_masks(rate, seed):
+    """Same labels and the same next draw, frame after frame."""
+    _, truth = generate_movie(small_config(seed=seed, frames=3))
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for seg in truth.seg_maps:
+        flipped = _flip_labels(seg.labels, rate, ours)
+        assert np.array_equal(flipped, boolean_mask_flips(seg.labels, rate, theirs))
+        assert flipped.dtype == np.uint8 and flipped.shape == seg.labels.shape
+        if rate != 0.05:  # none or every pixel moves
+            assert ((flipped != seg.labels) == (rate == 1.0)).all()
+    assert ours.random() == theirs.random()
 
 
 class TestRenderModelOutputs:
