@@ -94,9 +94,9 @@ def embryo_roi(seg_map: SegmentationMap, side: int = DEFAULT_ROI_SIDE) -> Roi:
 
     The center is the tight bounding box center of all pixels labeled
     zona or inside-zona, with half-pixel midpoints rounded up so the
-    result shifts exactly with the embryo. A map read from a file holds
-    runs and no grid; its box comes off its zona runs, so it is not
-    decoded.
+    result shifts exactly with the embryo. A map read from a file or made
+    by synth holds runs and no grid; its box comes off its zona runs, so
+    it is not decoded.
 
     Raises:
         NoEmbryoError: the map contains no zona / inside-zona pixels;
@@ -106,9 +106,9 @@ def embryo_roi(seg_map: SegmentationMap, side: int = DEFAULT_ROI_SIDE) -> Roi:
     # numpy from casting the uint8 labels to the enum's int64.
     zona = int(SegClass.ZONA)
     if seg_map._runs is not None:
-        # A map read from a file: the box of its zona runs, off the runs.
+        # A map read from a file or made by synth: the box of its zona runs.
         labels, counts = seg_map._runs
-        stops = np.cumsum(counts)
+        stops = np.cumsum(counts, dtype=np.int64)
         runs = np.flatnonzero(labels >= zona)
         if runs.size == 0:
             raise NoEmbryoError("segmentation contains no zona or inside-zona pixels")

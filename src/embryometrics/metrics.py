@@ -82,7 +82,8 @@ def _agreement(p_labels, p_counts, t_labels, t_counts) -> tuple[np.ndarray, np.n
     """
     # The last pred run ends where the last truth run does. Equal ends
     # make an empty piece, which counts nothing.
-    p_ends, t_ends = np.cumsum(p_counts)[:-1], np.cumsum(t_counts)
+    p_ends = np.cumsum(p_counts, dtype=np.int64)[:-1]
+    t_ends = np.cumsum(t_counts, dtype=np.int64)
     at = np.searchsorted(p_ends, t_ends) + np.arange(t_ends.size)
     is_pred = np.ones(p_ends.size + t_ends.size, dtype=bool)
     is_pred[at] = False
@@ -120,7 +121,7 @@ def pixel_accuracy(
         raise ShapeMismatchError(f"map shapes differ: {p_shape} vs {t_shape}")
     if not t_runs:
         raise EmptyInputError("no pixels to evaluate")
-    if [c.sum() for _, c in p_runs] != [c.sum() for _, c in t_runs]:
+    if [c.sum(dtype=np.int64) for _, c in p_runs] != [c.sum(dtype=np.int64) for _, c in t_runs]:
         # Frames that differ in size: each side's pixels as one line.
         p_runs, t_runs = (
             [tuple(map(np.concatenate, zip(*runs)))] for runs in (p_runs, t_runs)

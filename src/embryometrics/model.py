@@ -249,15 +249,17 @@ class SegmentationMap:
     """Per-pixel 4-class zona segmentation on a width x height grid.
 
     A map built from a grid holds the grid. A map built from runs
-    (``_from_runs``, as ``serialize`` reads a canonical file) holds only
-    its runs and decodes ``labels`` on first read, keeping the grid in the
-    instance's ``__dict__``; ``==``, hash and repr read ``labels`` either way.
+    (``_from_runs``: every map ``synth`` paints, and every map ``serialize``
+    reads from a canonical file) holds only its runs and decodes ``labels``
+    on first read, keeping the grid in the instance's ``__dict__``; ``==``,
+    hash and repr read ``labels`` either way. Run counts are int32 where
+    they are known to fit, so sums over them ask for int64.
     """
 
     labels: np.ndarray  # (height, width) uint8 with values in SegClass
     # Set on the instance, outside the field `==` and hash read: the
     # canonical runs text the map was read from, which serialize writes
-    # back, and the (labels uint8, counts int64) runs it was built from.
+    # back, and the (labels uint8, integer counts) runs it was built from.
     _runs_text: ClassVar[str | None] = None
     _runs: ClassVar[tuple[np.ndarray, np.ndarray] | None] = None
 
@@ -278,12 +280,13 @@ class SegmentationMap:
     ) -> "SegmentationMap":
         """The map whose row-major pixels are ``counts[i]`` copies of
         ``labels[i]``, in order, without its grid. The caller has checked
-        that the labels are in 0..3 and the counts cover the grid; the runs
-        are kept as given, so they are maximal if the caller's are.
+        that the labels are in 0..3 and the counts, an integer array, cover
+        the grid; the runs are kept as given, so they are maximal if the
+        caller's are, and the counts keep their dtype.
         """
         if width <= 0 or height <= 0:
             raise ValidationError("segmentation map must be a non-empty 2-D grid")
-        runs = (labels.astype(np.uint8), np.asarray(counts, dtype=np.int64))
+        runs = (labels.astype(np.uint8), counts)
         for arr in runs:
             arr.flags.writeable = False
         seg = object.__new__(cls)

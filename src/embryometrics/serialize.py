@@ -13,10 +13,12 @@ canonical file builds a list per run either. Any other spelling sends
 the whole text to ``json``, which reads it, or rejects it, as before.
 A map read from canonical, maximal runs (no zero count, no two
 neighbouring runs with one label) keeps that text and is written back
-from it without encoding its grid again. It holds the parsed runs and
-no grid (``SegmentationMap._from_runs``), and decodes its grid only if
-``labels`` is read. Any other spelling is decoded at once and written
-from the grid.
+from it without encoding its grid again. It holds the parsed runs, with
+int32 counts, and no grid (``SegmentationMap._from_runs``), and decodes
+its grid only if ``labels`` is read. Any other spelling is decoded at
+once and written from the grid. Maps that ``synth`` makes hold runs
+too, so writing them encodes no grid; only a map built from a grid is
+encoded on write.
 
 Every other record is read off its dataclass: ``_to_json`` writes it
 field by field, and ``_record`` reads it back by the declared field
@@ -437,8 +439,8 @@ def _runs_arrays(text: str) -> tuple[np.ndarray, np.ndarray] | None:
 
     Canonical means the bytes ``[[L,C],[L,C],...]`` and nothing else: no
     whitespace, no sign, fraction or exponent, and numbers without a
-    leading zero. Each number also has at most 9 digits, so that the
-    int64 sum of a map's counts is exact.
+    leading zero. Each number also has at most 9 digits, so that it fits
+    int32 and the int64 sum of a map's counts is exact.
     """
     if not text.isascii():
         return None
@@ -462,15 +464,15 @@ def _runs_arrays(text: str) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _numbers(digits: np.ndarray, end: np.ndarray, n: np.ndarray) -> np.ndarray | None:
-    """The decimal numbers whose ``n`` digits end before ``end``, one
+    """The int32 decimal numbers whose ``n`` digits end before ``end``, one
     decimal place at a time; None if one has no digit, more than 9
     digits or a leading zero."""
     if n.min() < 1 or n.max() > 9 or (digits[end - n][n > 1] == 0).any():
         return None
-    value = digits[end - 1].astype(np.int64)
+    value = digits[end - 1].astype(np.int32)
     for place in range(1, int(n.max())):
         has = np.flatnonzero(n > place)
-        value[has] += digits[end[has] - 1 - place].astype(np.int64) * 10**place
+        value[has] += digits[end[has] - 1 - place].astype(np.int32) * 10**place
     return value
 
 
@@ -487,7 +489,8 @@ def seg_map_from_obj(obj: Mapping) -> SegmentationMap:
     runs = obj["runs"]
     if type(runs) is _Text and runs.runs is not None:
         labels, counts = runs.runs
-        total = int(counts.sum())  # exact: no count has more than 9 digits
+        # int32 counts of at most 9 digits: their int64 sum is exact.
+        total = int(counts.sum(dtype=np.int64))
         # Maximal runs are the text `_seg_runs_text` writes for this grid.
         keep = counts.min() > 0 and not (labels[1:] == labels[:-1]).any()
     else:

@@ -37,9 +37,9 @@ from .model import (
     InstanceCandidate,
     ORDERED_CLASSES,
     PLANE_COUNT,
-    SegClass,
     SegmentationMap,
     StageClass,
+    _value_runs,
 )
 
 # Geometry as fractions of the image size / zona radius.
@@ -209,15 +209,16 @@ def derive_embryo_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _disk_masks(size: int, circles: Sequence[Circle]) -> list[BinaryMask]:
-    """For every circle, the mask of the pixels (x, y) of its box, clipped to
-    the grid, where `(x - cx)**2 + (y - cy)**2 <= r*r`, found in one pass.
+def _disk_rows(size: int, circles: Sequence[Circle]) -> tuple[np.ndarray, np.ndarray]:
+    """For every circle, the pixels (x, y) of its box, clipped to the grid,
+    where `(x - cx)**2 + (y - cy)**2 <= r*r`, found in one pass: the flat
+    `[start, stop)` of each row's interval, shape (rows, 2), and the circle
+    each row belongs to, rows in circle order and then top to bottom.
 
     `fl(x - cx)` is monotone in the integer x, so each row's pixels form
     one interval around the box pixel nearest cx. Each end starts from a
     `sqrt` guess and steps by one while the exact predicate says so; the
-    nearest pixel bounds the inward steps. A stop that is the same mask's
-    next start (a full-width row) drops with that start.
+    nearest pixel bounds the inward steps.
     """
     c = np.array(circles, dtype=np.float64).reshape(-1, 3)
     cx, cy, r = c.T
@@ -253,18 +254,71 @@ def _disk_masks(size: int, circles: Sequence[Circle]) -> list[BinaryMask]:
             x[i] -= out
             i = i[~inside(x[i], i)]
         ends.append(x[full])
-    k, y = k[full], y[full]
-    edges = np.stack([y * size + ends[0], y * size + ends[1] + 1], axis=1).ravel()
+    y = y[full] * size
+    return np.stack([y + ends[0], y + ends[1] + 1], axis=1), k[full]
+
+
+def _disk_masks(size: int, circles: Sequence[Circle]) -> list[BinaryMask]:
+    """For every circle, the mask of its `_disk_rows`. A stop that is the
+    same mask's next start (a full-width row) drops with that start."""
+    edges, k = _disk_rows(size, circles)
+    edges = edges.ravel()
     joined = np.flatnonzero((edges[1:-1:2] == edges[2::2]) & (k[:-1] == k[1:]))
     keep = edges != size * size  # a run to the grid's end needs no stop
     keep[2 * joined + 1] = keep[2 * joined + 2] = False
     edges, owner = edges[keep], np.repeat(k, 2)[keep]
     # Mask j's edges, offset by j grids, between boundaries j and j + 1.
-    first = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(c)))))
-    grids = np.arange(len(c) + 1) * (size * size)
+    n = len(circles)
+    first = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n))))
+    grids = np.arange(n + 1) * (size * size)
     runs = np.diff(np.insert(edges + grids[owner], first, grids)).tolist()
-    at = (first + np.arange(len(c) + 1)).tolist()
+    at = (first + np.arange(n + 1)).tolist()
     return [BinaryMask(size, size, runs[a:b]) for a, b in zip(at, at[1:])]
+
+
+# `_paint_label_runs`: the cover-mask step of each event code, and the
+# label a cover mask leaves, its highest bit: bit b is label b + 1.
+_STEPS = np.array([0, -1, -2, -4, 1, 2, 4])
+_TOP_LABEL = np.array([0, 1, 2, 2, 3, 3, 3, 3], dtype=np.uint8)
+
+
+def _paint_label_runs(
+    size: int, edges: np.ndarray, owner: np.ndarray, frames: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each frame's maximal row-major (labels, counts) runs on a `size`
+    grid, painted from `_disk_rows` of the well (disk 0, label 1 in every
+    frame) and of frame f's outer and inner zona (disks 2f + 1 and 2f + 2,
+    labels 2 and 3): a pixel takes the highest label of the disks that
+    cover it, as painting them in label order would leave it.
+
+    The frames lie end to end on one line. Each interval's start sets its
+    label's bit in a cover mask and its stop clears it, so the running sum
+    of these steps is the mask. Events sort as one key, position and then
+    code: each frame's first pixel (code 0, no step, so every frame starts
+    a run), stops (1-3), then starts (4-6), so the mask stays in 0..7.
+    Counts are int32 when a grid's pixel count fits.
+    """
+    n = size * size
+    wells = np.count_nonzero(owner == 0)  # the well's rows come first
+    z = owner[wells:] - 1  # 2f for frame f's outer zona, 2f + 1 for its inner
+    first = np.arange(frames) * (8 * n)  # each frame's first key
+    well = edges[:wells] * 8 + [4, 1] + first[:, None, None]
+    zona = edges[wells:] * 8 + (z // 2 * (8 * n) + 2 + z % 2)[:, None] + [3, 0]
+    key = np.sort(np.concatenate([well.ravel(), zona.ravel(), first]))
+    at = key >> 3
+    labels = _TOP_LABEL[np.cumsum(_STEPS[key & 7])]
+    # Only the last event at a pixel starts a piece that is not empty.
+    last = np.flatnonzero(np.diff(at, append=frames * n))
+    at, labels = at[last], labels[last]
+    new = np.zeros(at.size, dtype=bool)
+    new[np.searchsorted(at, np.arange(frames) * n)] = True
+    new[1:] |= labels[1:] != labels[:-1]
+    at, labels = at[new], labels[new]
+    counts = np.diff(at, append=frames * n)
+    if n <= np.iinfo(np.int32).max:
+        counts = counts.astype(np.int32)
+    cut = np.searchsorted(at, np.arange(1, frames) * n)
+    return list(zip(np.split(labels, cut), np.split(counts, cut)))
 
 
 def _disk_mask(size: int, cx: float, cy: float, r: float) -> BinaryMask:
@@ -351,9 +405,10 @@ def generate_movie(config: SynthConfig) -> tuple[EmbryoMovie, GroundTruth]:
 
     cell_circles = []
     pn_circles = []
-    # Before the rasteriser, whose row arrays also grow with size: a grid
-    # too large for memory fails here at once.
-    well = np.full((size, size), SegClass.OUTSIDE_WELL, dtype=np.uint8)
+    # No label grid is made, but the rasteriser's row arrays grow with size
+    # before any memory runs out: asking for one grid's bytes here makes a
+    # size too large for memory fail at once.
+    np.empty((size, size), dtype=np.uint8)
     for i, stage in enumerate(stages):
         cx, cy = float(centers[i, 0]), float(centers[i, 1])
         count = stage.cell_count
@@ -384,18 +439,14 @@ def generate_movie(config: SynthConfig) -> tuple[EmbryoMovie, GroundTruth]:
             ]
         pn_circles.append(tuple(pn))
 
-    # The well, each frame's outer and inner zona, then every cell and pronucleus.
+    # The well, then each frame's outer and inner zona.
     disks = [(size / 2.0, size / 2.0, WELL_RADIUS_FRACTION * size)]
     disks += [(cx, cy, r) for cx, cy in centers.tolist() for r in (zona_outer, zona_inner)]
-    disks += [c for g in cell_circles + pn_circles for c in g]
-    masks = iter(_disk_masks(size, disks))
-    well[next(masks).to_array()] = SegClass.INSIDE_WELL
-    seg_maps = []
-    for _ in stages:
-        labels = well.copy()
-        for label in SegClass.ZONA, SegClass.INSIDE_ZONA:
-            labels[next(masks).to_array()] = label
-        seg_maps.append(SegmentationMap(labels))
+    seg_maps = [
+        SegmentationMap._from_runs(labels, counts, size, size)
+        for labels, counts in _paint_label_runs(size, *_disk_rows(size, disks), len(stages))
+    ]
+    masks = iter(_disk_masks(size, [c for g in cell_circles + pn_circles for c in g]))
     cell_masks = [tuple(islice(masks, len(g))) for g in cell_circles]
     pn_masks = [tuple(islice(masks, len(g))) for g in pn_circles]
 
@@ -428,7 +479,7 @@ def generate_movie(config: SynthConfig) -> tuple[EmbryoMovie, GroundTruth]:
 
 
 def _flip_labels(labels: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """A copy of the label grid in which each pixel, with probability
+    """A copy of the label array in which each pixel, with probability
     ``rate``, moves to a uniformly random *other* class. Draws one uniform
     and then one class shift per pixel, in row-major order."""
     out = np.array(labels)
@@ -485,7 +536,10 @@ def render_model_outputs(
         # Zona segmentation with pixel flips.
         seg = truth.seg_maps[i]
         if noise.seg_flip_rate > 0:
-            seg = SegmentationMap(_flip_labels(seg.labels, noise.seg_flip_rate, rng))
+            # Flipped on the decoded runs, as reading `labels` would keep a
+            # grid on the truth map, and kept as runs too.
+            flipped = _flip_labels(np.repeat(*seg._label_runs()), noise.seg_flip_rate, rng)
+            seg = SegmentationMap._from_runs(*_value_runs(flipped), seg.width, seg.height)
         seg_maps.append(seg)
 
         # Candidate circles: the true ones, jittered, on each middle plane.
