@@ -94,34 +94,21 @@ def embryo_roi(seg_map: SegmentationMap, side: int = DEFAULT_ROI_SIDE) -> Roi:
 
     The center is the tight bounding box center of all pixels labeled
     zona or inside-zona, with half-pixel midpoints rounded up so the
-    result shifts exactly with the embryo. A map read from a file or made
-    by synth holds runs and no grid; its box comes off its zona runs, so
-    it is not decoded.
+    result shifts exactly with the embryo. The box comes off the map's
+    zona runs, so the map is not decoded.
 
     Raises:
         NoEmbryoError: the map contains no zona / inside-zona pixels;
             callers should fall back to :func:`center_roi` and report it.
     """
+    labels, counts = seg_map._runs
     # Labels are 0..3, so >= ZONA is zona or inside-zona; a plain int keeps
     # numpy from casting the uint8 labels to the enum's int64.
-    zona = int(SegClass.ZONA)
-    if seg_map._runs is not None:
-        # A map read from a file or made by synth: the box of its zona runs.
-        labels, counts = seg_map._runs
-        stops = np.cumsum(counts, dtype=np.int64)
-        runs = np.flatnonzero(labels >= zona)
-        if runs.size == 0:
-            raise NoEmbryoError("segmentation contains no zona or inside-zona pixels")
-        stops = stops[runs]
-        x, y, w, h = _runs_bbox(stops - counts[runs], stops - 1, seg_map.width)
-    else:
-        labels = seg_map.labels
-        rows = np.flatnonzero(labels.max(axis=1) >= zona)
-        if rows.size == 0:
-            raise NoEmbryoError("segmentation contains no zona or inside-zona pixels")
-        cols = np.flatnonzero(labels[rows[0] : rows[-1] + 1].max(axis=0) >= zona)
-        x, y = int(cols[0]), int(rows[0])
-        w, h = int(cols[-1]) - x + 1, int(rows[-1]) - y + 1
+    runs = np.flatnonzero(labels >= int(SegClass.ZONA))
+    if runs.size == 0:
+        raise NoEmbryoError("segmentation contains no zona or inside-zona pixels")
+    stops = np.cumsum(counts, dtype=np.int64)[runs]
+    x, y, w, h = _runs_bbox(stops - counts[runs], stops - 1, seg_map.width)
     return roi_around((x + w // 2, y + h // 2), side, seg_map.width, seg_map.height)
 
 

@@ -60,15 +60,15 @@ class MatchResult:
 def _runs(
     labels: SegmentationMap | np.ndarray | Sequence[SegmentationMap],
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], tuple[int, ...]]:
-    """The row-major (labels, counts) runs of each frame of a map, a label
-    array, or a sequence of maps, and the shape the other side must have:
-    a sequence's is its pixel total."""
+    """The row-major (labels, counts) runs that a map, or each map of a
+    sequence, holds, or those encoded from a label array, and the shape
+    the other side must have: a sequence's is its pixel total."""
     if isinstance(labels, SegmentationMap):
-        return [labels._label_runs()], (labels.height, labels.width)
+        return [labels._runs], (labels.height, labels.width)
     if isinstance(labels, (list, tuple)) and all(
         isinstance(m, SegmentationMap) for m in labels
     ):
-        return [m._label_runs() for m in labels], (sum(m.width * m.height for m in labels),)
+        return [m._runs for m in labels], (sum(m.width * m.height for m in labels),)
     arr = np.asarray(labels)
     return [_value_runs(arr.ravel())] if arr.size else [], arr.shape
 

@@ -248,65 +248,57 @@ def _runs_bbox(first: np.ndarray, last: np.ndarray, width: int) -> tuple[int, in
 class SegmentationMap:
     """Per-pixel 4-class zona segmentation on a width x height grid.
 
-    A map built from a grid holds the grid. A map built from runs
-    (``_from_runs``: every map ``synth`` paints, and every map ``serialize``
-    reads from a canonical file) holds only its runs and decodes ``labels``
-    on first read, keeping the grid in the instance's ``__dict__``; ``==``,
-    hash and repr read ``labels`` either way. Run counts are int32 where
-    they are known to fit, so sums over them ask for int64.
+    Every map holds its maximal row-major (labels uint8, integer counts)
+    runs and decodes ``labels`` on first read, keeping the grid in the
+    instance's ``__dict__``; ``==``, hash and repr read ``labels``. A map
+    built from a grid encodes it at once. Run counts are int32 where they
+    are known to fit, so sums over them ask for int64.
     """
 
     labels: np.ndarray  # (height, width) uint8 with values in SegClass
     # Set on the instance, outside the field `==` and hash read: the
     # canonical runs text the map was read from, which serialize writes
-    # back, and the (labels uint8, integer counts) runs it was built from.
+    # back, and the map's runs.
     _runs_text: ClassVar[str | None] = None
-    _runs: ClassVar[tuple[np.ndarray, np.ndarray] | None] = None
+    _runs: ClassVar[tuple[np.ndarray, np.ndarray]]
 
     def __init__(self, labels: np.ndarray | Sequence[Sequence[int]]):
         arr = np.asarray(labels)
         if arr.ndim != 2 or arr.size == 0:
             raise ValidationError("segmentation map must be a non-empty 2-D grid")
-        if arr.min() < 0 or arr.max() > 3:
+        # Checked before the cast, which would turn 1.5 into 1 and NaN into 0.
+        if not np.isin(arr, range(4)).all():
             raise ValidationError("segmentation labels must be in 0..3")
-        grid = arr.astype(np.uint8)  # a copy, whatever the input's dtype
-        grid.flags.writeable = False
-        object.__setattr__(self, "labels", grid)
-        object.__setattr__(self, "_shape", grid.shape)
+        self._hold(_value_runs(arr.astype(np.uint8).ravel()), arr.shape)
 
     @classmethod
     def _from_runs(
         cls, labels: np.ndarray, counts: np.ndarray, width: int, height: int
     ) -> "SegmentationMap":
         """The map whose row-major pixels are ``counts[i]`` copies of
-        ``labels[i]``, in order, without its grid. The caller has checked
-        that the labels are in 0..3 and the counts, an integer array, cover
-        the grid; the runs are kept as given, so they are maximal if the
-        caller's are, and the counts keep their dtype.
+        ``labels[i]``, in order. The caller has checked that the grid is
+        not empty, the labels are in 0..3 and the counts, an integer
+        array, cover the grid; the runs are kept as given, so they are
+        maximal if the caller's are, and the counts keep their dtype.
         """
-        if width <= 0 or height <= 0:
-            raise ValidationError("segmentation map must be a non-empty 2-D grid")
-        runs = (labels.astype(np.uint8), counts)
-        for arr in runs:
-            arr.flags.writeable = False
         seg = object.__new__(cls)
-        seg.__dict__.update(_runs=runs, _shape=(height, width))
+        seg._hold((labels.astype(np.uint8), counts), (height, width))
         return seg
 
+    def _hold(self, runs: tuple[np.ndarray, np.ndarray], shape: tuple[int, int]) -> None:
+        for arr in runs:
+            arr.flags.writeable = False
+        self.__dict__.update(_runs=runs, _shape=shape)
+
     def __getattr__(self, name: str):
-        # Reached only for what the instance does not hold: the grid of a
-        # map built from runs, decoded once.
-        if name != "labels" or self._runs is None:
+        # Reached only for what the instance does not hold: the grid,
+        # decoded once.
+        if name != "labels":
             raise AttributeError(name)
         grid = np.repeat(*self._runs).reshape(self._shape)
         grid.flags.writeable = False
         self.__dict__["labels"] = grid
         return grid
-
-    def _label_runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(labels, counts) of the map's maximal row-major runs: the runs
-        it was built from, or else encoded from its grid."""
-        return self._runs if self._runs is not None else _value_runs(self.labels.ravel())
 
     @property
     def width(self) -> int:

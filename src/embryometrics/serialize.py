@@ -11,14 +11,11 @@ mirror this: ``_loads`` cuts each runs value in that canonical form out
 of the text and parses it with numpy (``_runs_arrays``), so no read of a
 canonical file builds a list per run either. Any other spelling sends
 the whole text to ``json``, which reads it, or rejects it, as before.
-A map read from canonical, maximal runs (no zero count, no two
-neighbouring runs with one label) keeps that text and is written back
-from it without encoding its grid again. It holds the parsed runs, with
-int32 counts, and no grid (``SegmentationMap._from_runs``), and decodes
-its grid only if ``labels`` is read. Any other spelling is decoded at
-once and written from the grid. Maps that ``synth`` makes hold runs
-too, so writing them encodes no grid; only a map built from a grid is
-encoded on write.
+Every map holds its maximal runs, so no write encodes a grid. A map read
+from canonical, maximal runs (no zero count, no two neighbouring runs
+with one label) holds the parsed runs, with int32 counts
+(``SegmentationMap._from_runs``), keeps that text and is written back
+from it. Runs in any other spelling are merged into maximal runs.
 
 Every other record is read off its dataclass: ``_to_json`` writes it
 field by field, and ``_record`` reads it back by the declared field
@@ -414,7 +411,7 @@ def _seg_runs_text(seg: SegmentationMap) -> str:
     written one decimal place at a time over all runs that have it. The
     last run's ``,`` becomes the closing ``]``.
     """
-    labels, counts = seg._label_runs()
+    labels, counts = seg._runs
     n = np.searchsorted(_POWERS_OF_TEN, counts, side="right") + 1
     size = n + 5
     at = 1 + np.cumsum(size) - size
@@ -506,9 +503,11 @@ def seg_map_from_obj(obj: Mapping) -> SegmentationMap:
     # Checked here because the cast to uint8 would wrap 256 to 0.
     if labels.min() < 0 or labels.max() > 3:
         raise ValueError("labels must be in 0..3")
-    seg = SegmentationMap._from_runs(labels, counts, w, h)
+    if w <= 0 or h <= 0:
+        raise ValidationError("segmentation map must be a non-empty 2-D grid")
     if not keep:
-        return SegmentationMap(seg.labels)  # decoded now, written from the grid
+        return SegmentationMap(np.repeat(labels, counts).reshape(h, w))
+    seg = SegmentationMap._from_runs(labels, counts, w, h)
     runs.runs = None
     object.__setattr__(seg, "_runs_text", runs)
     return seg

@@ -538,7 +538,7 @@ def render_model_outputs(
         if noise.seg_flip_rate > 0:
             # Flipped on the decoded runs, as reading `labels` would keep a
             # grid on the truth map, and kept as runs too.
-            flipped = _flip_labels(np.repeat(*seg._label_runs()), noise.seg_flip_rate, rng)
+            flipped = _flip_labels(np.repeat(*seg._runs), noise.seg_flip_rate, rng)
             seg = SegmentationMap._from_runs(*_value_runs(flipped), seg.width, seg.height)
         seg_maps.append(seg)
 

@@ -20,7 +20,7 @@ from embryometrics.cli import main
 from embryometrics.errors import EmptyInputError, NoEmbryoError, ShapeMismatchError
 from embryometrics.geometry import embryo_roi
 from embryometrics.metrics import pixel_accuracy
-from embryometrics.model import SegmentationMap
+from embryometrics.model import SegmentationMap, _value_runs
 from embryometrics.serialize import _loads, _to_json, canonical_dumps, seg_map_from_obj
 from test_label_kernels import boolean_index_accuracy, full_grid_roi
 
@@ -72,15 +72,28 @@ def test_map_from_maximal_text_holds_runs_and_no_grid():
     assert np.array_equal(decoded, grid)
 
 
-def test_non_maximal_text_decodes_at_once():
+def test_non_maximal_text_reads_as_maximal_runs():
     seg = seg_map_from_obj(_loads('{"h":1,"runs":[[1,1],[1,2]],"w":3}'))
-    assert has_grid(seg) and seg._runs is None and seg._runs_text is None
-    assert seg.labels.tolist() == [[1, 1, 1]]
+    labels, counts = seg._runs
+    assert labels.tolist() == [1] and counts.tolist() == [3]
+    assert seg._runs_text is None and not has_grid(seg)
+    assert canonical_dumps(_to_json(seg)) == '{"h":1,"runs":[[1,3]],"w":3}'
 
 
-def test_maps_built_from_grids_hold_no_runs():
-    seg = SegmentationMap(np.zeros((2, 3), dtype=np.int64))
-    assert has_grid(seg) and seg._runs is None
+def test_maps_built_from_grids_hold_maximal_runs():
+    grid = np.array([[0, 0, 3], [3, 2, 2]], dtype=np.int64)
+    seg = SegmentationMap(grid)
+    assert not has_grid(seg)
+    labels, counts = seg._runs
+    expected_labels, expected_counts = _value_runs(grid.astype(np.uint8).ravel())
+    assert labels.dtype == np.uint8 and np.array_equal(labels, expected_labels)
+    assert np.array_equal(counts, expected_counts) and counts.tolist() == [2, 2, 2]
+    assert not labels.flags.writeable and not counts.flags.writeable
+    assert not has_grid(seg)
+    decoded = seg.labels
+    assert has_grid(seg) and seg.labels is decoded
+    assert decoded.dtype == np.uint8 and not decoded.flags.writeable
+    assert np.array_equal(decoded, grid)
 
 
 def test_missing_attribute_is_an_attribute_error():
