@@ -305,5 +305,6 @@ def crop_to_roi(grid: BinaryMask | SegmentationMap, roi: Roi):
         )
     window = (slice(roi.y, roi.y + roi.side), slice(roi.x, roi.x + roi.side))
     if isinstance(grid, SegmentationMap):
-        return SegmentationMap(grid.labels[window])
+        # Decoded off the runs, so that the source keeps no grid.
+        return SegmentationMap(np.repeat(*grid._runs).reshape(grid.height, grid.width)[window])
     return BinaryMask.from_array(grid.to_array()[window])

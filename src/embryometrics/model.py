@@ -244,6 +244,26 @@ def _runs_bbox(first: np.ndarray, last: np.ndarray, width: int) -> tuple[int, in
     return (x0, y0, x1 - x0 + 1, y1 - y0 + 1)
 
 
+def _runs_bboxes(
+    first: np.ndarray, last: np.ndarray, width: np.ndarray, counts: np.ndarray
+) -> list[tuple[int, int, int, int] | None]:
+    """``_runs_bbox`` of many masks in one pass: mask j's runs are the
+    next ``counts[j]`` of ``first`` and ``last``, on a grid ``width[j]``
+    wide. A mask without runs has no box, None."""
+    boxes: list = [None] * counts.size
+    has = np.flatnonzero(counts)
+    if has.size:
+        at = (np.cumsum(counts) - counts)[has]  # each mask's first run
+        w, w_has = np.repeat(width, counts), width[has]
+        across = np.logical_or.reduceat(first // w != last // w, at)
+        x0 = np.where(across, 0, np.minimum.reduceat(first % w, at))
+        x1 = np.where(across, w_has - 1, np.maximum.reduceat(last % w, at))
+        y0, y1 = first[at] // w_has, last[at + counts[has] - 1] // w_has
+        for j, box in zip(has.tolist(), np.stack([x0, y0, x1 - x0 + 1, y1 - y0 + 1], 1).tolist()):
+            boxes[j] = tuple(box)
+    return boxes
+
+
 @dataclass(frozen=True)
 class SegmentationMap:
     """Per-pixel 4-class zona segmentation on a width x height grid.
@@ -279,10 +299,11 @@ class SegmentationMap:
         ``labels[i]``, in order. The caller has checked that the grid is
         not empty, the labels are in 0..3 and the counts, an integer
         array, cover the grid; the runs are kept as given, so they are
-        maximal if the caller's are, and the counts keep their dtype.
+        maximal if the caller's are, the counts keep their dtype, and
+        uint8 labels are not copied.
         """
         seg = object.__new__(cls)
-        seg._hold((labels.astype(np.uint8), counts), (height, width))
+        seg._hold((labels.astype(np.uint8, copy=False), counts), (height, width))
         return seg
 
     def _hold(self, runs: tuple[np.ndarray, np.ndarray], shape: tuple[int, int]) -> None:
@@ -341,6 +362,21 @@ class BinaryMask:
         object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "width", int(self.width))
         object.__setattr__(self, "height", int(self.height))
+
+    @classmethod
+    def _from_runs(
+        cls, width: int, height: int, runs: tuple[int, ...], box: tuple[int, int, int, int] | None
+    ) -> "BinaryMask":
+        """The mask of ``runs`` on a ``width`` x ``height`` grid, with its
+        tight box ``box`` cached, or no box if it has no foreground. The
+        caller has checked what ``__post_init__`` checks, and ``runs`` is
+        a tuple of ints.
+        """
+        mask = object.__new__(cls)
+        mask.__dict__.update(width=width, height=height, runs=runs)
+        if box is not None:
+            mask.__dict__["_tight_bbox"] = box
+        return mask
 
     @classmethod
     def from_array(cls, arr: np.ndarray | Sequence[Sequence[int]]) -> "BinaryMask":

@@ -20,6 +20,13 @@ from it. Runs in any other spelling are merged into maximal runs.
 Every other record is read off its dataclass: ``_to_json`` writes it
 field by field, and ``_record`` reads it back by the declared field
 types, rejecting unknown, missing and wrong-typed keys at every depth.
+Records are decoded by the column: ``_column`` builds, once per declared
+type, a decoder of a list of values, so a list of records decodes each
+field as one list and a list of tuples all their items as one list.
+Every mask of a file or record is then checked, and given its tight
+box, in one vectorised pass (``_masks_from_objs``). A list that holds a
+bad value is decoded again one value at a time, so that the error is
+the one the first bad value raises alone.
 """
 
 from __future__ import annotations
@@ -30,12 +37,13 @@ import json
 from collections import abc
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from types import UnionType
 from typing import (
     Any,
+    Callable,
     Iterable,
     Mapping,
     Sequence,
@@ -56,6 +64,7 @@ from .model import (
     FragmentationScore,
     InstanceCandidate,
     SegmentationMap,
+    _runs_bboxes,
 )
 from .synth import GroundTruth, RenderedOutputs, SynthConfig
 
@@ -128,73 +137,133 @@ def _to_json(value: Any) -> Any:
     return value
 
 
-def _from_json(tp: Any, value: Any) -> Any:
-    """The JSON ``value`` decoded as the declared type ``tp``.
+#: What indexing or converting a malformed object raises; OverflowError
+#: is a number out of range for its type.
+_MALFORMED = (KeyError, TypeError, ValueError, IndexError, OverflowError)
+
+
+@functools.cache
+def _column(tp: Any) -> Callable[[list], list]:
+    """The decoder of a list of JSON values, each as the declared type
+    ``tp``, built once per type from its hints.
 
     A value of the wrong JSON type is a TypeError, a tuple of the wrong
     length a ValueError. An int stays an int where a float is declared,
-    so a file repeats a value as given.
+    so a file repeats a value as given. The values are decoded as one
+    column, and the items of tuples as one column of their own; a column
+    that raises is decoded again one value at a time, so that the first
+    bad value raises the error it raises alone.
     """
+    bulk = _bulk(tp)
+
+    def column(values: list) -> list:
+        if len(values) > 1:
+            try:
+                return bulk(values)
+            except _MALFORMED:
+                pass
+            return [x for value in values for x in bulk([value])]
+        return bulk(values)
+
+    return column
+
+
+def _bulk(tp: Any) -> Callable[[list], list]:
+    """``_column(tp)`` without the replay: it may raise any bad value's
+    error, and raises the one value's error for a list of one."""
     if tp is float:
-        return _typed(value, int, float)
+        return functools.partial(_scalars, (int, float))
     if tp is int or tp is str or tp is bool:
-        return _typed(value, tp)
+        return functools.partial(_scalars, (tp,))
     origin, args = get_origin(tp), get_args(tp)
     if origin is Union or origin is UnionType:
-        if value is None and type(None) in args:
-            return None
         (inner,) = (a for a in args if a is not type(None))
-        return _from_json(inner, value)
+        return functools.partial(_optional, _column(inner))
     if origin is tuple:
-        items = _typed(value, list)
-        if args[-1] is Ellipsis:
-            return tuple(_from_json(args[0], x) for x in items)
-        if len(items) != len(args):
-            raise ValueError(f"expected {len(args)} values, got {len(items)}")
-        return tuple(map(_from_json, args, items))
+        (item,) = set(args) - {Ellipsis}  # every tuple type here has one item type
+        return functools.partial(_tuples, _column(item), None if Ellipsis in args else len(args))
     if origin is abc.Mapping:
-        k, v = args
-        return {_from_json(k, key): _from_json(v, x) for key, x in _typed(value, dict).items()}
+        k, v = map(_column, args)
+        # Item by item, each key before its value, as the first bad one raises.
+        return lambda values: [{k([key])[0]: v([x])[0] for key, x in _typed(m, dict).items()}
+                               for m in values]
     if tp is BinaryMask:
-        return mask_from_obj(value)
+        return _masks_from_objs
     if tp is SegmentationMap:
-        return seg_map_from_obj(value)
+        # Looked up on each call, so that a patched decoder is the one used.
+        return lambda values: [seg_map_from_obj(v) for v in values]
     if tp is FragmentationScore:
-        return FragmentationScore(_typed(value, int, float))
+        return lambda values: [FragmentationScore(_typed(v, int, float)) for v in values]
     if tp is np.ndarray:
-        return np.asarray(_from_json(tuple[float, ...], value), dtype=np.float64)
+        floats = _column(tuple[float, ...])
+        return lambda values: [np.asarray(x, dtype=np.float64) for x in floats(values)]
     if isinstance(tp, type) and issubclass(tp, Enum):
-        return tp.from_token(_typed(value, str))
-    return _record(tp, value)
+        return lambda values: [tp.from_token(_typed(v, str)) for v in values]
+    return functools.partial(_records, tp)
 
 
-def _record(cls: type, obj: Any, partial: bool = False) -> Any:
-    """The dataclass ``cls`` built from the JSON object ``obj``.
+def _scalars(types: tuple[type, ...], values: list) -> list:
+    """``values``, each checked to be one of the JSON ``types`` as
+    ``_typed`` checks it; the check is one pass over their exact types,
+    and a value of any other type sends them through ``_typed``."""
+    if set(map(type, values)).issubset(types):
+        return values
+    return [_typed(v, *types) for v in values]
+
+
+def _optional(decode: Callable[[list], list], values: list) -> list:
+    """None for each None of ``values``, the others through ``decode``."""
+    given = iter(decode([v for v in values if v is not None]))
+    return [None if v is None else next(given) for v in values]
+
+
+def _tuples(decode: Callable[[list], list], length: int | None, values: list) -> list:
+    """Each JSON list of ``values`` as a tuple, of ``length`` items unless
+    None, all their items through one ``decode`` call."""
+    lists = [_typed(v, list) for v in values]
+    for x in lists:
+        if length is not None and len(x) != length:
+            raise ValueError(f"expected {length} values, got {len(x)}")
+    items = iter(decode(list(chain.from_iterable(lists))))
+    return [tuple(islice(items, len(x))) for x in lists]
+
+
+def _records(cls: type, objs: list, partial: bool = False) -> list:
+    """The dataclass ``cls`` built from each JSON object of ``objs``.
 
     Each key must name a field, and each field must have a key unless
-    ``partial`` (the field's default then applies). Each value is decoded
-    as its field's declared type.
+    ``partial`` (the field's default then applies). Objects whose keys
+    come in one order are decoded field by field in that order, each
+    field's values as one column of its declared type; objects whose
+    keys differ are decoded one at a time.
     """
+    objs = [_typed(obj, dict) for obj in objs]
+    if not objs:
+        return []
+    keys = tuple(objs[0])
+    if any(tuple(obj) != keys for obj in objs):
+        return [x for obj in objs for x in _records(cls, [obj], partial)]
     schema = _schema(cls)
-    kwargs = {}
-    for key, value in _typed(obj, dict).items():
+    columns = {}
+    for key in keys:
         if key not in schema:
             raise ValueError(f"unknown key {key!r}")
         name, tp = schema[key]
         try:
-            kwargs[name] = _from_json(tp, value)
+            columns[name] = _column(tp)([obj[key] for obj in objs])
         except TypeError as e:
             raise TypeError(f"{key!r}: {e}") from None
     if not partial:
         for key in schema:
-            if key not in obj:
+            if key not in keys:
                 raise KeyError(key)
-    return cls(**kwargs)
+    return [cls(**{name: col[i] for name, col in columns.items()}) for i in range(len(objs))]
 
 
-#: What indexing or converting a malformed object raises; OverflowError
-#: is a number out of range for its type.
-_MALFORMED = (KeyError, TypeError, ValueError, IndexError, OverflowError)
+def _record(cls: type, obj: Any, partial: bool = False) -> Any:
+    """The dataclass ``cls`` built from the JSON object ``obj``: the
+    column of one of ``_records``."""
+    return _records(cls, [obj], partial)[0]
 
 
 def _decoder(what: str, error: type[ValidationError] = FormatError):
@@ -378,10 +447,11 @@ def _check_kind(obj: Mapping, kind: str) -> dict:
 # Masks and maps
 
 
-def _integers(values: Sequence) -> np.ndarray:
-    """Run values from JSON as an integer array, else TypeError."""
+def _integers(values: list) -> np.ndarray:
+    """Run values from JSON as an integer array, else TypeError; a bool is
+    not an integer here, though Python counts it as one."""
     arr = np.asarray(values)
-    if arr.size and arr.dtype.kind != "i":
+    if arr.size and arr.dtype.kind != "i" or bool in map(type, values):
         raise TypeError("run values must be integers")
     return arr
 
@@ -390,13 +460,65 @@ def mask_to_obj(mask: BinaryMask) -> dict:
     return {"w": mask.width, "h": mask.height, "rle": list(mask.runs)}
 
 
-@_decoder("mask")
 def mask_from_obj(obj: Mapping) -> BinaryMask:
-    return BinaryMask(
-        width=_typed(obj["w"], int),
-        height=_typed(obj["h"], int),
-        runs=tuple(_integers(_typed(obj["rle"], list)).tolist()),
-    )
+    return _masks_from_objs([obj])[0]
+
+
+@_decoder("mask")
+def _masks_from_objs(objs: list) -> list[BinaryMask]:
+    """The mask of each JSON object of ``objs``, checked and given its
+    tight box in one vectorised pass over all their runs (``_checked_boxes``).
+
+    If the pass does not take every mask, each is built by
+    ``BinaryMask``'s own checks, in order, so that the first bad mask
+    raises the error it raises alone.
+    """
+    shapes = [(_typed(o["w"], int), _typed(o["h"], int), _typed(o["rle"], list)) for o in objs]
+    boxes = _checked_boxes(shapes)
+    if boxes is None:
+        return [BinaryMask(w, h, tuple(_integers(rle).tolist())) for w, h, rle in shapes]
+    return [BinaryMask._from_runs(w, h, tuple(rle), box) for (w, h, rle), box in zip(shapes, boxes)]
+
+
+def _checked_boxes(shapes: list[tuple[int, int, list]]) -> list | None:
+    """The tight box of each ``(w, h, runs)`` mask, None for a mask with
+    no foreground, if every mask is one ``BinaryMask`` accepts: ints and
+    no bools for runs, w and h positive, runs not empty, the first >= 0
+    and every later one > 0, summing to w * h. Else None, also where a
+    sum could pass int64.
+
+    The runs of all masks lie end to end in one int64 array, so their
+    running sum gives every run's flat end; a mask's foreground runs are
+    its odd ones, and each mask's box follows ``_runs_bbox``'s rule.
+    """
+    if not shapes:
+        return []
+    rles = [rle for _, _, rle in shapes]
+    flat = list(chain.from_iterable(rles))
+    if not set(map(type, flat)) <= {int}:
+        return None
+    n = np.fromiter(map(len, rles), np.int64, len(rles))
+    try:
+        runs = np.fromiter(flat, np.int64, len(flat))
+        width = np.fromiter((w for w, _, _ in shapes), np.int64, len(shapes))
+        area = np.fromiter((w * h for w, h, _ in shapes), np.int64, len(shapes))
+    except OverflowError:
+        return None
+    if n.min() < 1 or width.min() < 1 or area.min() < 1 or runs.min() < 0:
+        return None
+    starts = np.cumsum(n) - n
+    zero = runs == 0
+    zero[starts] = False
+    if zero.any() or int(runs.max()) * runs.size > np.iinfo(np.int64).max:
+        return None
+    ends = np.cumsum(runs)
+    before = np.concatenate(([0], ends))[starts]  # pixels of the masks before
+    if not np.array_equal(ends[starts + n - 1] - before, area):
+        return None
+    # A mask's runs start with background, so its odd runs are foreground.
+    fg = np.flatnonzero((np.arange(runs.size) - np.repeat(starts, n)) & 1)
+    before = np.repeat(before, n)[fg]
+    return _runs_bboxes(ends[fg - 1] - before, ends[fg] - 1 - before, width, n // 2)
 
 
 # 10, 100, ..., 10**18: a count has one digit more than the powers it reaches.
@@ -436,8 +558,11 @@ def _runs_arrays(text: str) -> tuple[np.ndarray, np.ndarray] | None:
 
     Canonical means the bytes ``[[L,C],[L,C],...]`` and nothing else: no
     whitespace, no sign, fraction or exponent, and numbers without a
-    leading zero. Each number also has at most 9 digits, so that it fits
-    int32 and the int64 sum of a map's counts is exact.
+    leading zero. Each number also has at most 9 digits, so that a count
+    fits int32 and the int64 sum of a map's counts is exact. Each label
+    is read as its one digit, straight into uint8; a label of more
+    digits, so at least 10, reads as 10, which ``seg_map_from_obj``
+    refuses as it would the label.
     """
     if not text.isascii():
         return None
@@ -455,9 +580,13 @@ def _runs_arrays(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     # A digit outside every label and count is one between brackets.
     if int(n_labels.sum() + n_counts.sum()) != digits.size - sep.size:
         return None
-    labels = _numbers(digits, commas, n_labels)
+    labels = digits[commas - 1]
+    long = n_labels > 1
+    if n_labels.min() < 1 or n_labels.max() > 9 or (digits[opens + 1][long] == 0).any():
+        return None
+    labels[long] = 10
     counts = _numbers(digits, closes, n_counts)
-    return None if labels is None or counts is None else (labels, counts)
+    return None if counts is None else (labels, counts)
 
 
 def _numbers(digits: np.ndarray, end: np.ndarray, n: np.ndarray) -> np.ndarray | None:
@@ -517,9 +646,13 @@ def candidate_to_obj(cand: InstanceCandidate) -> dict:
     return _to_json(cand)
 
 
-@_decoder("candidate")
 def candidate_from_obj(obj: Mapping) -> InstanceCandidate:
-    return _record(InstanceCandidate, obj)
+    return _candidates_from_objs([obj])[0]
+
+
+@_decoder("candidate")
+def _candidates_from_objs(objs: list) -> list[InstanceCandidate]:
+    return _column(InstanceCandidate)(objs)
 
 
 # ---------------------------------------------------------------------------
@@ -677,14 +810,22 @@ def read_backend_tables(backend_dir: Path | str) -> dict:
     """
     d = Path(backend_dir)
 
-    def decoded(key: str, decode) -> list:
-        """``decode`` of each data row in one file; a row that fails to
-        decode is a FormatError naming the file and the line."""
+    def decoded(key: str, decode=None, column=None) -> list:
+        """The data rows of one file, through ``column`` of all rows if
+        given, else ``decode`` of each row. A row that fails to decode is
+        a FormatError naming the file and the line: a column that raises
+        is decoded again row by row, up to the first bad row."""
         path = d / BACKEND_FILES[key]
-        out = []
-        for lineno, row in read_ndjson(path, _NDJSON_HEADER_KINDS[key]):
+        rows = read_ndjson(path, _NDJSON_HEADER_KINDS[key])
+        if column is not None:
             try:
-                out.append(decode(row))
+                return column([row for _, row in rows])
+            except _MALFORMED:
+                pass
+        out = []
+        for lineno, row in rows:
+            try:
+                out.append(decode(row) if decode else column([row])[0])
             except _MALFORMED as e:
                 raise FormatError(
                     f"{path}: bad row at line {lineno}: {type(e).__name__}: {e}"
@@ -700,14 +841,14 @@ def read_backend_tables(backend_dir: Path | str) -> dict:
         times.append(row.t)
         return row
 
-    def candidate_row(obj: Any) -> tuple:
-        body = dict(_typed(obj, dict))
-        frame = _typed(body.pop("frame"), int)
-        cand = candidate_from_obj(body)
-        return (frame, cand.plane), cand
+    def candidate_rows(objs: list) -> list[tuple]:
+        bodies = [dict(_typed(obj, dict)) for obj in objs]
+        frames = [_typed(body.pop("frame"), int) for body in bodies]
+        cands = _candidates_from_objs(bodies)
+        return [((frame, cand.plane), cand) for frame, cand in zip(frames, cands)]
 
-    seg = decoded("segmentation", lambda r: _record(_SegRow, r))
-    frag = decoded("fragmentation", lambda r: _record(_FragRow, r))
+    seg = decoded("segmentation", column=functools.partial(_records, _SegRow))
+    frag = decoded("fragmentation", column=functools.partial(_records, _FragRow))
     stage = decoded("stage_probs", stage_row)
     tables = {
         "seg": _FileTable("zona_segmentation", d / BACKEND_FILES["segmentation"],
@@ -719,7 +860,7 @@ def read_backend_tables(backend_dir: Path | str) -> dict:
     }
     for key in ("cells", "pronuclei"):
         table: dict = {}
-        for k, cand in decoded(key, candidate_row):
+        for k, cand in decoded(key, column=candidate_rows):
             table.setdefault(k, []).append(cand)
         tables[key] = {k: tuple(v) for k, v in table.items()}
     return tables

@@ -2,10 +2,13 @@
 paints and every map `render_model_outputs` renders from it holds runs,
 and running, serializing and writing bundles reads none of their grids."""
 
+import numpy as np
 import pytest
 
 from embryometrics import cli, serialize
 from embryometrics.backends import synth_backend_suite
+from embryometrics.geometry import Roi, crop_to_roi
+from embryometrics.model import SegmentationMap
 from embryometrics.pipeline import PipelineConfig, result_to_obj, run_pipeline
 from embryometrics.synth import NoiseConfig, SynthConfig, generate_movie
 
@@ -57,3 +60,17 @@ def test_write_bundle(tmp_path, monkeypatch, noise):
     # At zero noise the rendered maps are the truth maps: one object each.
     same = [a is b for a, b in zip(rendered.seg_maps, truth.seg_maps)]
     assert same == [noise == NoiseConfig()] * len(same)
+
+
+def test_crop_decodes_no_grid_on_its_source():
+    """A crop reads the source's runs and leaves no grid on it; it equals
+    the crop of the source's grid."""
+    movie_truth = generate_movie(SynthConfig(seed=3, frames=2, image_size=96))[1]
+    for source in movie_truth.seg_maps:
+        roi = Roi(10, 20, 48, (44, 34))
+        cropped = crop_to_roi(source, roi)
+        assert grids([source, cropped]) == []
+        grid = np.repeat(*source._runs).reshape(source.height, source.width)
+        want = SegmentationMap(grid[20:68, 10:58])
+        assert all(map(np.array_equal, cropped._runs, want._runs))
+        assert cropped._shape == want._shape
