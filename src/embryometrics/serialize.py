@@ -6,11 +6,15 @@ floats via repr) so identical inputs produce byte-identical files.
 Binary masks are stored as row-major run-length encodings starting with
 the background run; 4-class maps as (label, count) run pairs. A map's
 runs are written as JSON text that numpy builds (``_seg_runs_text``) and
-``canonical_dumps`` splices in, so no write builds a list per run. Reads
-mirror this: ``_loads`` cuts each runs value in that canonical form out
-of the text and parses it with numpy (``_runs_arrays``), so no read of a
-canonical file builds a list per run either. Any other spelling sends
-the whole text to ``json``, which reads it, or rejects it, as before.
+``canonical_dumps`` splices in, so no write builds a list per run: each
+run is a fixed-width row of bytes, each digit column one integer
+division over all counts, and one boolean compress drops the leading
+zeros. Reads mirror this: ``_loads`` cuts each runs value in that
+canonical form out of the text, ending it at the last ``]]`` before the
+next quote, and parses it with numpy (``_runs_arrays``), which checks
+each run's four separators as one uint32, so no read of a canonical
+file builds a list per run either. Any other spelling sends the whole
+text to ``json``, which reads it, or rejects it, as before.
 Every map holds its maximal runs, so no write encodes a grid. A map read
 from canonical, maximal runs (no zero count, no two neighbouring runs
 with one label) holds the parsed runs, with int32 counts
@@ -303,7 +307,8 @@ class _Text(str):
 
     A seg map's runs value that ``_loads`` read keeps its label and count
     arrays in ``runs``, so that ``seg_map_from_obj`` does not parse it
-    again; a map that keeps the text drops them.
+    again; a map that keeps the text drops them, so a later decode of the
+    same text parses it again with ``_runs_arrays``.
     """
 
     runs: tuple[np.ndarray, np.ndarray] | None = None
@@ -349,18 +354,21 @@ def _loads(text: str) -> Any:
     ``_Text`` it was read as, its arrays parsed by ``_runs_arrays``.
 
     Each value is cut out and a ``NaN`` token put in its place, which the
-    decoder hands to ``parse_constant``, in order. No backslash precedes
-    the key's opening quote, so in a text the decoder accepts, every
-    placeholder is the value of a ``"runs"`` key. A value that is not
-    canonical, a backslash before the key, a decode error, or a count of
-    placeholders used that differs from the count made sends the whole
+    decoder hands to ``parse_constant``, in order. A canonical value holds
+    no ``"``, so it ends at the last ``]]`` before the next ``"`` (or the
+    end of the text), which one search for the quote finds. No backslash
+    precedes the key's opening quote, so in a text the decoder accepts,
+    every placeholder is the value of a ``"runs"`` key. A value that is
+    not canonical, a backslash before the key, a decode error, or a count
+    of placeholders used that differs from the count made sends the whole
     text to ``_json_decode``, which also raises every error.
     """
     pieces, texts = [], []
     done = 0
     while (key := text.find(_RUNS_KEY + "[[", done)) >= 0:
         start = key + len(_RUNS_KEY)
-        end = text.find("]]", start) + 2
+        quote = text.find('"', start)
+        end = text.rfind("]]", start, quote if quote >= 0 else len(text)) + 2
         if end < 2 or text[key - 1 : key] == "\\":
             return _json_decode(text)
         value = _Text(text[start:end])
@@ -434,10 +442,10 @@ def _check_kind(obj: Mapping, kind: str) -> dict:
     names ``kind`` at the current format version."""
     if not isinstance(obj, Mapping):
         raise FormatError(f"expected a JSON object for {kind}")
-    if obj.get("format_version") != FORMAT_VERSION:
-        raise FormatError(
-            f"unsupported format_version {obj.get('format_version')!r} for {kind}"
-        )
+    version = obj.get("format_version")
+    # Only the integer itself: `true` and `1.0` equal 1 in Python.
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise FormatError(f"unsupported format_version {version!r} for {kind}")
     if obj.get("kind") != kind:
         raise FormatError(f"expected kind {kind!r}, got {obj.get('kind')!r}")
     return {k: v for k, v in obj.items() if k not in ("format_version", "kind")}
@@ -521,35 +529,40 @@ def _checked_boxes(shapes: list[tuple[int, int, list]]) -> list | None:
     return _runs_bboxes(ends[fg - 1] - before, ends[fg] - 1 - before, width, n // 2)
 
 
-# 10, 100, ..., 10**18: a count has one digit more than the powers it reaches.
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
-
-
 def _seg_runs_text(seg: SegmentationMap) -> str:
     """``seg``'s runs as the JSON text ``[[label,count],...]``.
 
-    Run ``i`` fills the bytes ``[L,<digits>],`` from ``at[i]``: its label
-    digit ``L`` (labels are 0..3), then its count's ``n[i]`` digits,
-    written one decimal place at a time over all runs that have it. The
-    last run's ``,`` becomes the closing ``]``.
+    Each run is first laid out as one fixed-width row ``,[L,`` + ``d``
+    digit columns + ``]``, where ``L`` is its label digit (labels are
+    0..3) and ``d`` the digit count of the largest count. Each digit
+    column is one integer division over all counts: a column holds the
+    quotient's last digit, and is a leading zero where the quotient is
+    0. One boolean compress drops every leading zero; the first row's
+    ``,`` becomes the opening ``[`` and a ``]`` closes the text.
     """
     labels, counts = seg._runs
-    n = np.searchsorted(_POWERS_OF_TEN, counts, side="right") + 1
-    size = n + 5
-    at = 1 + np.cumsum(size) - size
-    end = at + 3 + n  # one past each count's last digit
-    buf = np.empty(end[-1] + 2, dtype=np.uint8)
-    buf[0] = ord("[")
-    buf[at] = ord("[")
-    buf[at + 1] = labels + ord("0")
-    buf[at + 2] = ord(",")
-    buf[end] = ord("]")
-    buf[end + 1] = ord(",")
-    buf[-1] = ord("]")
-    for k in range(int(n.max())):
-        has = n > k
-        buf[end[has] - 1 - k] = counts[has] // 10**k % 10 + ord("0")
-    return buf.tobytes().decode("ascii")
+    d = len(str(int(counts.max())))
+    rows = np.empty((counts.size, d + 5), dtype=np.uint8)
+    keep = np.ones(rows.shape, dtype=bool)
+    rows[:, 0] = ord(",")
+    rows[:, 1] = ord("[")
+    np.add(labels, ord("0"), out=rows[:, 2], casting="unsafe")
+    rows[:, 3] = ord(",")
+    rows[:, -1] = ord("]")
+    above = 0  # the quotient one column to the left
+    for col, place in enumerate(range(d - 1, -1, -1), 4):
+        q = counts // 10**place if place else counts
+        # The digit is q - 10 * above, written in one pass with its '0'.
+        np.subtract(q, above * 10 - ord("0"), out=rows[:, col], casting="unsafe")
+        if place:
+            np.not_equal(q, 0, out=keep[:, col])
+        above = q
+    text = rows[keep]
+    text[0] = ord("[")
+    return text.tobytes().decode("ascii") + "]"
+
+
+_RUN_GROUP, _LAST_RUN_GROUP = np.frombuffer(b"[,],[,]]", dtype=np.uint32)
 
 
 def _runs_arrays(text: str) -> tuple[np.ndarray, np.ndarray] | None:
@@ -559,10 +572,12 @@ def _runs_arrays(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     Canonical means the bytes ``[[L,C],[L,C],...]`` and nothing else: no
     whitespace, no sign, fraction or exponent, and numbers without a
     leading zero. Each number also has at most 9 digits, so that a count
-    fits int32 and the int64 sum of a map's counts is exact. Each label
-    is read as its one digit, straight into uint8; a label of more
-    digits, so at least 10, reads as 10, which ``seg_map_from_obj``
-    refuses as it would the label.
+    fits int32 and the int64 sum of a map's counts is exact. Every byte
+    that is not a digit is a separator: the first must be ``[``, and each
+    run's four must be ``[,],``, or ``[,]]`` for the last run, which is
+    checked as one uint32 per run. Each label is read as its one digit,
+    straight into uint8; a label of more digits, so at least 10, reads
+    as 10, which ``seg_map_from_obj`` refuses as it would the label.
     """
     if not text.isascii():
         return None
@@ -570,10 +585,10 @@ def _runs_arrays(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     digits = raw - ord("0")
     sep = np.flatnonzero(digits > 9)  # every byte that is not a digit
     k = (sep.size - 1) // 4  # runs
-    if k < 1 or sep.size != 4 * k + 1:
+    if k < 1 or sep.size != 4 * k + 1 or raw[sep[0]] != ord("["):
         return None
-    shape = b"[[,]" + b",[,]" * (k - 1) + b"]"
-    if not np.array_equal(raw[sep], np.frombuffer(shape, dtype=np.uint8)):
+    groups = raw[sep[1:]].view(np.uint32)
+    if groups[-1] != _LAST_RUN_GROUP or (groups[:-1] != _RUN_GROUP).any():
         return None
     opens, commas, closes = sep[1::4], sep[2::4], sep[3::4]
     n_labels, n_counts = commas - opens - 1, closes - commas - 1
@@ -581,8 +596,8 @@ def _runs_arrays(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     if int(n_labels.sum() + n_counts.sum()) != digits.size - sep.size:
         return None
     labels = digits[commas - 1]
-    long = n_labels > 1
-    if n_labels.min() < 1 or n_labels.max() > 9 or (digits[opens + 1][long] == 0).any():
+    long = np.flatnonzero(n_labels > 1)
+    if n_labels.min() < 1 or n_labels.max() > 9 or (digits[opens[long] + 1] == 0).any():
         return None
     labels[long] = 10
     counts = _numbers(digits, closes, n_counts)
@@ -592,12 +607,16 @@ def _runs_arrays(text: str) -> tuple[np.ndarray, np.ndarray] | None:
 def _numbers(digits: np.ndarray, end: np.ndarray, n: np.ndarray) -> np.ndarray | None:
     """The int32 decimal numbers whose ``n`` digits end before ``end``, one
     decimal place at a time; None if one has no digit, more than 9
-    digits or a leading zero."""
-    if n.min() < 1 or n.max() > 9 or (digits[end - n][n > 1] == 0).any():
+    digits or a leading zero, which only a number of two or more digits
+    can have."""
+    if n.min() < 1 or n.max() > 9:
         return None
     value = digits[end - 1].astype(np.int32)
+    has = np.flatnonzero(n > 1)
+    if (digits[end[has] - n[has]] == 0).any():
+        return None
     for place in range(1, int(n.max())):
-        has = np.flatnonzero(n > place)
+        has = has[n[has] > place]
         value[has] += digits[end[has] - 1 - place].astype(np.int32) * 10**place
     return value
 
@@ -613,8 +632,10 @@ def seg_map_to_obj(seg: SegmentationMap) -> dict:
 def seg_map_from_obj(obj: Mapping) -> SegmentationMap:
     w, h = _typed(obj["w"], int), _typed(obj["h"], int)
     runs = obj["runs"]
-    if type(runs) is _Text and runs.runs is not None:
-        labels, counts = runs.runs
+    # A `_Text` whose arrays a first decode took is parsed again.
+    arrays = (runs.runs or _runs_arrays(runs)) if type(runs) is _Text else None
+    if arrays is not None:
+        labels, counts = arrays
         # int32 counts of at most 9 digits: their int64 sum is exact.
         total = int(counts.sum(dtype=np.int64))
         # Maximal runs are the text `_seg_runs_text` writes for this grid.
