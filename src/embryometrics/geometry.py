@@ -18,7 +18,7 @@ i < j within each pool, every pool of a movie in one call) and ``synth``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +30,8 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .model import BinaryMask, InstanceCandidate, SegClass, SegmentationMap, _runs_bbox
+from .model import BinaryMask, InstanceCandidate, SegClass, SegmentationMap
+from .model import _runs_bbox, _runs_bboxes
 
 DEFAULT_ROI_SIDE = 328
 DEFAULT_MERGE_IOU = 0.5
@@ -135,8 +136,9 @@ def _pair_iou(
     read 0. This is the one mask-overlap kernel: :func:`iou_matrix`, the
     cross-plane merge, ``synth`` and the mAP blocks all call it.
 
-    Masks are never decoded. Each distinct mask's runs are read once, and
-    the masks are laid end to end on one flat index line. A pair is
+    Masks are never decoded. Each distinct mask's foreground runs
+    (``BinaryMask._foreground``) and tight box are read once, and the
+    masks are laid end to end on one flat index line. A pair is
     computed only if its bound can reach the floor: the intersection is
     at most ``imax = min(area_a, area_b, overlap of the tight boxes)``, so
     IoU is at most ``imax / (area_a + area_b - imax)``, and float division
@@ -156,39 +158,29 @@ def _pair_iou(
     if mismatched.size:
         (wa, ha), (wb, hb) = dims[u[mismatched[0]]], dims[v[mismatched[0]]]
         raise ShapeMismatchError(f"mask shapes differ: {wa}x{ha} vs {wb}x{hb}")
-    width, size = dims[:, 0], dims.prod(axis=1)
 
-    lengths = np.array([len(m.runs) for m in distinct.values()], dtype=np.int64)
-    runs = chain.from_iterable(m.runs for m in distinct.values())
-    ends = np.cumsum(np.fromiter(runs, np.int64, lengths.sum()))
+    held = [m._foreground() for m in distinct.values()]
+    counts = np.array([s.size for s, _ in held], dtype=np.int64)  # foreground runs per mask
+    size = dims.prod(axis=1)
     base = np.cumsum(size) - size  # each mask's first flat index
-    # Each mask's runs start with background, so its odd runs are foreground.
-    local = np.arange(ends.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    odd = np.flatnonzero(local & 1)
     # A sentinel run [-1, -1) first keeps every lookup below in range.
-    starts = np.concatenate(([-1], ends[odd - 1]))
-    stops = np.concatenate(([-1], ends[odd]))
+    shift = np.concatenate(([0], np.repeat(base, counts)))
+    starts, stops = (np.concatenate(ends) + shift for ends in zip(([-1], [-1]), *held))
     before = np.concatenate(([0], np.cumsum(stops - starts)))  # C at each start
-    counts = lengths // 2  # foreground runs per mask
     first = np.cumsum(counts) - counts + 1  # index of each mask's first one
-    after = first + counts
-    area = before[after] - before[first]
+    area = before[first + counts] - before[first]
 
-    # Tight boxes as in `BinaryMask.tight_bbox`; empty masks keep 0s.
-    fg = np.flatnonzero(area > 0)
-    box = np.zeros((4, len(distinct)), dtype=np.int64)  # x0, x1, y0, y1
-    if fg.size:
-        owner = np.repeat(np.arange(len(distinct)), counts)
-        w = width[owner]
-        sy, sx = np.divmod(starts[1:] - base[owner], w)  # row, column of each start
-        ly, lx = np.divmod(stops[1:] - 1 - base[owner], w)  # and of each last pixel
-        across = sy != ly
-        at = first[fg] - 1
-        box[0, fg] = np.minimum.reduceat(np.where(across, 0, sx), at)
-        box[1, fg] = np.maximum.reduceat(np.where(across, w - 1, lx), at)
-        box[2, fg] = sy[at]
-        box[3, fg] = ly[after[fg] - 2]
-    span = np.minimum(box[1::2, u], box[1::2, v]) - np.maximum(box[::2, u], box[::2, v]) + 1
+    # Tight boxes: cached, else from one `_runs_bboxes` call over the
+    # masks without one; empty masks keep 0s.
+    boxes = [m.__dict__.get("_tight_bbox") for m in distinct.values()]
+    todo = [k for k, box in enumerate(boxes) if box is None and counts[k]]
+    if todo:
+        begin, end = (np.concatenate(ends) for ends in zip(*(held[k] for k in todo)))
+        for k, (box, _) in zip(todo, _runs_bboxes(begin, end, dims[todo, 0], counts[todo])):
+            boxes[k] = box
+    box = np.array([b or (0, 0, 0, 0) for b in boxes], np.int64).reshape(-1, 4).T  # x, y, w, h
+    lo, hi = box[:2], box[:2] + box[2:]
+    span = np.minimum(hi[:, u], hi[:, v]) - np.maximum(lo[:, u], lo[:, v])
     total = area[u] + area[v]
     imax = np.minimum(np.minimum(area[u], area[v]), span.clip(0).prod(axis=0))
     bound = np.divide(imax, total - imax, out=np.zeros(imax.shape), where=imax > 0)

@@ -12,6 +12,7 @@ trajectory may move along; ``EMPTY`` and ``DEGENERATE`` sit outside it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -120,6 +121,22 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)
     out.flags.writeable = False
     return out
+
+
+def _checked_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as Python ints, each an integer or an integral float,
+    else ValidationError. Checked before ``int()``, which would turn 2.9
+    into 2 and '2' into 2, and raises ValueError on NaN and OverflowError
+    on an infinity."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    for v in values:
+        if not isinstance(v, numbers.Integral) and not (
+            isinstance(v, numbers.Real) and float(v).is_integer()
+        ):
+            raise ValidationError(f"{what} {v!r} is not an integer")
+    return tuple(map(int, values))
 
 
 def validate_prob_vector(raw: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -245,23 +262,27 @@ def _runs_bbox(first: np.ndarray, last: np.ndarray, width: int) -> tuple[int, in
 
 
 def _runs_bboxes(
-    first: np.ndarray, last: np.ndarray, width: np.ndarray, counts: np.ndarray
-) -> list[tuple[int, int, int, int] | None]:
-    """``_runs_bbox`` of many masks in one pass: mask j's runs are the
-    next ``counts[j]`` of ``first`` and ``last``, on a grid ``width[j]``
-    wide. A mask without runs has no box, None."""
+    starts: np.ndarray, stops: np.ndarray, width: np.ndarray, counts: np.ndarray
+) -> list[tuple[tuple[int, int, int, int] | None, tuple[np.ndarray, np.ndarray]]]:
+    """``_runs_bbox`` of many masks in one pass, and their runs: mask j's
+    runs are the next ``counts[j]`` of the flat int64 ``starts`` and
+    exclusive ``stops`` on a grid ``width[j]`` wide. A mask without runs
+    has no box, None. Its runs are views of the two arrays, made read-only."""
+    starts.flags.writeable = stops.flags.writeable = False
     boxes: list = [None] * counts.size
     has = np.flatnonzero(counts)
     if has.size:
+        last = stops - 1
         at = (np.cumsum(counts) - counts)[has]  # each mask's first run
         w, w_has = np.repeat(width, counts), width[has]
-        across = np.logical_or.reduceat(first // w != last // w, at)
-        x0 = np.where(across, 0, np.minimum.reduceat(first % w, at))
+        across = np.logical_or.reduceat(starts // w != last // w, at)
+        x0 = np.where(across, 0, np.minimum.reduceat(starts % w, at))
         x1 = np.where(across, w_has - 1, np.maximum.reduceat(last % w, at))
-        y0, y1 = first[at] // w_has, last[at + counts[has] - 1] // w_has
+        y0, y1 = starts[at] // w_has, last[at + counts[has] - 1] // w_has
         for j, box in zip(has.tolist(), np.stack([x0, y0, x1 - x0 + 1, y1 - y0 + 1], 1).tolist()):
             boxes[j] = tuple(box)
-    return boxes
+    cut = [0, *np.cumsum(counts).tolist()]
+    return [(box, (starts[a:b], stops[a:b])) for box, a, b in zip(boxes, cut, cut[1:])]
 
 
 @dataclass(frozen=True)
@@ -338,6 +359,9 @@ class BinaryMask:
     background (which may be 0); all later runs are positive and the
     counts sum to ``width * height``. This canonical layout makes the
     serialized form bit-exact for a given pixel set.
+
+    A mask built in bulk (``_from_runs``) also holds its tight box and
+    foreground runs in ``__dict__``, outside ``==``, hash and repr.
     """
 
     width: int
@@ -345,9 +369,10 @@ class BinaryMask:
     runs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
+        width, height = _checked_ints((self.width, self.height), "mask dimension")
+        if width <= 0 or height <= 0:
             raise ValidationError("mask dimensions must be positive")
-        runs = tuple(map(int, self.runs))
+        runs = _checked_ints(self.runs, "mask run")
         if len(runs) == 0:
             raise ValidationError("runs may not be empty")
         if runs[0] < 0 or min(runs[1:], default=1) <= 0:
@@ -355,25 +380,25 @@ class BinaryMask:
                 "first run must be >= 0 and all later runs > 0 (canonical RLE)"
             )
         total = sum(runs)
-        if total != self.width * self.height:
-            raise ValidationError(
-                f"run lengths sum to {total}, expected {self.width * self.height}"
-            )
+        if total != width * height:
+            raise ValidationError(f"run lengths sum to {total}, expected {width * height}")
         object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "width", int(self.width))
-        object.__setattr__(self, "height", int(self.height))
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
 
     @classmethod
     def _from_runs(
-        cls, width: int, height: int, runs: tuple[int, ...], box: tuple[int, int, int, int] | None
+        cls, width: int, height: int, runs: tuple[int, ...], box: tuple[int, int, int, int] | None,
+        foreground: tuple[np.ndarray, np.ndarray],
     ) -> "BinaryMask":
         """The mask of ``runs`` on a ``width`` x ``height`` grid, with its
-        tight box ``box`` cached, or no box if it has no foreground. The
+        tight box ``box`` cached, or no box if it has no foreground, and
+        holding ``foreground``, its read-only int64 ``_foreground``. The
         caller has checked what ``__post_init__`` checks, and ``runs`` is
         a tuple of ints.
         """
         mask = object.__new__(cls)
-        mask.__dict__.update(width=width, height=height, runs=runs)
+        mask.__dict__.update(width=width, height=height, runs=runs, _held=foreground)
         if box is not None:
             mask.__dict__["_tight_bbox"] = box
         return mask
@@ -402,7 +427,10 @@ class BinaryMask:
         return int(sum(self.runs[1::2]))
 
     def _foreground(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat start and (exclusive) stop index of each foreground run."""
+        """Flat start and (exclusive) stop index of each foreground run, in
+        int64: the arrays the mask holds, else computed and not kept."""
+        if "_held" in self.__dict__:
+            return self._held
         ends = np.cumsum(np.fromiter(self.runs, np.int64, len(self.runs)))
         return ends[:-1:2], ends[1::2]
 
@@ -415,8 +443,8 @@ class BinaryMask:
         return self._tight_bbox
 
     def __deepcopy__(self, memo) -> "BinaryMask":
-        # The fields and the cached box are immutable, so the copy shares
-        # them instead of visiting every run count.
+        # The fields, the cached box and the held arrays are immutable, so
+        # the copy shares them instead of visiting every run count.
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__)
         return clone
@@ -445,15 +473,16 @@ class InstanceCandidate:
             raise ValidationError("candidate mask must have positive area")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValidationError(f"confidence {self.confidence} outside [0, 1]")
-        if not 0 <= self.plane < PLANE_COUNT:
-            raise ValidationError(f"plane index {self.plane} outside 0..{PLANE_COUNT - 1}")
-        bbox = tuple(int(v) for v in self.bbox)
+        (plane,) = _checked_ints((self.plane,), "plane index")
+        if not 0 <= plane < PLANE_COUNT:
+            raise ValidationError(f"plane index {plane} outside 0..{PLANE_COUNT - 1}")
+        bbox = _checked_ints(self.bbox, "bbox value")
         tight = self.mask.tight_bbox()
         if bbox != tight:
             raise ValidationError(f"bbox {bbox} is not the tight bounding box {tight}")
         object.__setattr__(self, "bbox", bbox)
         object.__setattr__(self, "confidence", float(self.confidence))
-        object.__setattr__(self, "plane", int(self.plane))
+        object.__setattr__(self, "plane", plane)
         object.__setattr__(self, "kind", CandidateKind(self.kind))
 
     @classmethod

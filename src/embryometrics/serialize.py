@@ -475,29 +475,31 @@ def mask_from_obj(obj: Mapping) -> BinaryMask:
 @_decoder("mask")
 def _masks_from_objs(objs: list) -> list[BinaryMask]:
     """The mask of each JSON object of ``objs``, checked and given its
-    tight box in one vectorised pass over all their runs (``_checked_boxes``).
+    tight box and its foreground runs in one vectorised pass over all
+    their runs (``_checked_boxes``).
 
     If the pass does not take every mask, each is built by
     ``BinaryMask``'s own checks, in order, so that the first bad mask
     raises the error it raises alone.
     """
     shapes = [(_typed(o["w"], int), _typed(o["h"], int), _typed(o["rle"], list)) for o in objs]
-    boxes = _checked_boxes(shapes)
-    if boxes is None:
+    held = _checked_boxes(shapes)
+    if held is None:
         return [BinaryMask(w, h, tuple(_integers(rle).tolist())) for w, h, rle in shapes]
-    return [BinaryMask._from_runs(w, h, tuple(rle), box) for (w, h, rle), box in zip(shapes, boxes)]
+    return [BinaryMask._from_runs(w, h, tuple(rle), box, fg)
+            for (w, h, rle), (box, fg) in zip(shapes, held)]
 
 
 def _checked_boxes(shapes: list[tuple[int, int, list]]) -> list | None:
-    """The tight box of each ``(w, h, runs)`` mask, None for a mask with
-    no foreground, if every mask is one ``BinaryMask`` accepts: ints and
-    no bools for runs, w and h positive, runs not empty, the first >= 0
-    and every later one > 0, summing to w * h. Else None, also where a
-    sum could pass int64.
+    """The tight box (None if it has no foreground) and the foreground
+    runs of each ``(w, h, runs)`` mask, by ``_runs_bboxes``, if every mask
+    is one ``BinaryMask`` accepts: ints and no bools for runs, w and h
+    positive, runs not empty, the first >= 0 and every later one > 0,
+    summing to w * h. Else None, also where a sum could pass int64.
 
     The runs of all masks lie end to end in one int64 array, so their
     running sum gives every run's flat end; a mask's foreground runs are
-    its odd ones, and each mask's box follows ``_runs_bbox``'s rule.
+    its odd ones.
     """
     if not shapes:
         return []
@@ -526,7 +528,7 @@ def _checked_boxes(shapes: list[tuple[int, int, list]]) -> list | None:
     # A mask's runs start with background, so its odd runs are foreground.
     fg = np.flatnonzero((np.arange(runs.size) - np.repeat(starts, n)) & 1)
     before = np.repeat(before, n)[fg]
-    return _runs_bboxes(ends[fg - 1] - before, ends[fg] - 1 - before, width, n // 2)
+    return _runs_bboxes(ends[fg - 1] - before, ends[fg] - before, width, n // 2)
 
 
 def _seg_runs_text(seg: SegmentationMap) -> str:

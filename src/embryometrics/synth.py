@@ -260,26 +260,26 @@ def _disk_rows(size: int, circles: Sequence[Circle]) -> tuple[np.ndarray, np.nda
 
 
 def _disk_masks(size: int, circles: Sequence[Circle]) -> list[BinaryMask]:
-    """For every circle, the mask of its `_disk_rows`, with its tight box
-    read off the rows: the first and the last row, the least start and
-    the greatest stop; a disk without rows has no box. A stop that is
-    the same mask's next start (a full-width row) drops with that start."""
+    """For every circle, the mask of its `_disk_rows`, holding its
+    foreground runs and its tight box, read off them (`_runs_bboxes`); a
+    disk without rows has no box. A stop that is the same mask's next
+    start (a full-width row) drops with that start."""
     edges, k = _disk_rows(size, circles)
     n = len(circles)
-    rows = np.bincount(k, minlength=n)
-    boxes = _runs_bboxes(edges[:, 0], edges[:, 1] - 1, np.full(n, size), rows)
-    edges = edges.ravel()
-    joined = np.flatnonzero((edges[1:-1:2] == edges[2::2]) & (k[:-1] == k[1:]))
+    joined = np.flatnonzero((edges[:-1, 1] == edges[1:, 0]) & (k[:-1] == k[1:]))
+    starts, stops = np.delete(edges[:, 0], joined + 1), np.delete(edges[:, 1], joined)
+    k = np.delete(k, joined + 1)
+    held = _runs_bboxes(starts, stops, np.full(n, size), np.bincount(k, minlength=n))
+    edges = np.stack([starts, stops], axis=1).ravel()
     keep = edges != size * size  # a run to the grid's end needs no stop
-    keep[2 * joined + 1] = keep[2 * joined + 2] = False
     edges, owner = edges[keep], np.repeat(k, 2)[keep]
     # Mask j's edges, offset by j grids, between boundaries j and j + 1.
     first = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n))))
     grids = np.arange(n + 1) * (size * size)
     runs = np.diff(np.insert(edges + grids[owner], first, grids)).tolist()
     at = (first + np.arange(n + 1)).tolist()
-    return [BinaryMask._from_runs(size, size, tuple(runs[a:b]), box)
-            for a, b, box in zip(at, at[1:], boxes)]
+    return [BinaryMask._from_runs(size, size, tuple(runs[a:b]), box, fg)
+            for a, b, (box, fg) in zip(at, at[1:], held)]
 
 
 # `_paint_label_runs`: the cover-mask step of each event code, and the
