@@ -30,8 +30,8 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .model import BinaryMask, InstanceCandidate, SegClass, SegmentationMap
-from .model import _runs_bbox, _runs_bboxes
+from .model import BinaryMask, InstanceCandidate, SegmentationMap
+from .model import _checked_ints, _runs_bboxes
 
 DEFAULT_ROI_SIDE = 328
 DEFAULT_MERGE_IOU = 0.5
@@ -47,16 +47,15 @@ class Roi:
     center: tuple[int, int]
 
     def __post_init__(self):
-        if self.side <= 0:
+        x, y, side, *center = _checked_ints((self.x, self.y, self.side, *self.center), "ROI value")
+        if len(center) != 2:
+            raise ValidationError("ROI center must be an (x, y) pair")
+        if side <= 0:
             raise ValidationError("ROI side must be positive")
-        if self.x < 0 or self.y < 0:
+        if x < 0 or y < 0:
             raise ValidationError("ROI offsets must be non-negative")
-        object.__setattr__(self, "x", int(self.x))
-        object.__setattr__(self, "y", int(self.y))
-        object.__setattr__(self, "side", int(self.side))
-        object.__setattr__(
-            self, "center", (int(self.center[0]), int(self.center[1]))
-        )
+        for name, value in (("x", x), ("y", y), ("side", side), ("center", tuple(center))):
+            object.__setattr__(self, name, value)
 
 
 def _clamped_window(center: int, side: int, extent: int) -> int:
@@ -71,7 +70,7 @@ def roi_around(
     center: tuple[int, int], side: int, width: int, height: int
 ) -> Roi:
     """Side x side window at `center`, shifted (never shrunk) into bounds."""
-    cx, cy = int(center[0]), int(center[1])
+    cx, cy, side = _checked_ints((*center, side), "ROI value")
     return Roi(
         x=_clamped_window(cx, side, width),
         y=_clamped_window(cy, side, height),
@@ -95,21 +94,18 @@ def embryo_roi(seg_map: SegmentationMap, side: int = DEFAULT_ROI_SIDE) -> Roi:
 
     The center is the tight bounding box center of all pixels labeled
     zona or inside-zona, with half-pixel midpoints rounded up so the
-    result shifts exactly with the embryo. The box comes off the map's
-    zona runs, so the map is not decoded.
+    result shifts exactly with the embryo. The box is the map's
+    ``_zona_box()``: held by a map ``synth`` painted, else computed off
+    the zona runs; the map is not decoded either way.
 
     Raises:
         NoEmbryoError: the map contains no zona / inside-zona pixels;
             callers should fall back to :func:`center_roi` and report it.
     """
-    labels, counts = seg_map._runs
-    # Labels are 0..3, so >= ZONA is zona or inside-zona; a plain int keeps
-    # numpy from casting the uint8 labels to the enum's int64.
-    runs = np.flatnonzero(labels >= int(SegClass.ZONA))
-    if runs.size == 0:
+    box = seg_map._zona_box()
+    if box is None:
         raise NoEmbryoError("segmentation contains no zona or inside-zona pixels")
-    stops = np.cumsum(counts, dtype=np.int64)[runs]
-    x, y, w, h = _runs_bbox(stops - counts[runs], stops - 1, seg_map.width)
+    x, y, w, h = box
     return roi_around((x + w // 2, y + h // 2), side, seg_map.width, seg_map.height)
 
 

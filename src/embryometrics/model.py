@@ -123,11 +123,13 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checked_ints(values: Iterable, what: str) -> tuple[int, ...]:
+def _checked_ints(
+    values: Iterable, what: str, error: type[ValidationError] = ValidationError
+) -> tuple[int, ...]:
     """``values`` as Python ints, each an integer or an integral float,
-    else ValidationError. Checked before ``int()``, which would turn 2.9
-    into 2 and '2' into 2, and raises ValueError on NaN and OverflowError
-    on an infinity."""
+    else ``error``. Checked before ``int()``, which would turn 2.9 into 2
+    and '2' into 2, and raises ValueError on NaN and OverflowError on an
+    infinity."""
     values = tuple(values)
     if set(map(type, values)) <= {int}:
         return values
@@ -135,7 +137,7 @@ def _checked_ints(values: Iterable, what: str) -> tuple[int, ...]:
         if not isinstance(v, numbers.Integral) and not (
             isinstance(v, numbers.Real) and float(v).is_integer()
         ):
-            raise ValidationError(f"{what} {v!r} is not an integer")
+            raise error(f"{what} {v!r} is not an integer")
     return tuple(map(int, values))
 
 
@@ -285,21 +287,35 @@ def _runs_bboxes(
     return [(box, (starts[a:b], stops[a:b])) for box, a, b in zip(boxes, cut, cut[1:])]
 
 
+def _shared_copy(self, memo):
+    # `__deepcopy__` of a type whose held state is all immutable: the copy
+    # shares it instead of visiting every array and run count.
+    clone = object.__new__(type(self))
+    clone.__dict__.update(self.__dict__)
+    return clone
+
+
 @dataclass(frozen=True)
 class SegmentationMap:
     """Per-pixel 4-class zona segmentation on a width x height grid.
 
     Every map holds its maximal row-major (labels uint8, integer counts)
     runs and decodes ``labels`` on first read, keeping the grid in the
-    instance's ``__dict__``; ``==``, hash and repr read ``labels``. A map
+    instance's ``__dict__``; repr reads ``labels``, while ``==`` and hash
+    read the shape and runs, which every birth route makes maximal. A map
     built from a grid encodes it at once. Run counts are int32 where they
     are known to fit, so sums over them ask for int64.
+
+    A map ``synth`` paints also holds its zona box (``_zona_box``), read
+    off the zona disks it was painted from; a map built from a grid, read
+    from a file or flipped by ``render_model_outputs`` computes it off the
+    runs on each call.
     """
 
     labels: np.ndarray  # (height, width) uint8 with values in SegClass
-    # Set on the instance, outside the field `==` and hash read: the
-    # canonical runs text the map was read from, which serialize writes
-    # back, and the map's runs.
+    # Set on the instance, outside the dataclass field: the canonical runs
+    # text the map was read from, which serialize writes back, and the
+    # map's runs.
     _runs_text: ClassVar[str | None] = None
     _runs: ClassVar[tuple[np.ndarray, np.ndarray]]
 
@@ -314,17 +330,20 @@ class SegmentationMap:
 
     @classmethod
     def _from_runs(
-        cls, labels: np.ndarray, counts: np.ndarray, width: int, height: int
+        cls, labels: np.ndarray, counts: np.ndarray, width: int, height: int, zona_box=...
     ) -> "SegmentationMap":
         """The map whose row-major pixels are ``counts[i]`` copies of
-        ``labels[i]``, in order. The caller has checked that the grid is
-        not empty, the labels are in 0..3 and the counts, an integer
-        array, cover the grid; the runs are kept as given, so they are
-        maximal if the caller's are, the counts keep their dtype, and
-        uint8 labels are not copied.
+        ``labels[i]``, in order, holding ``zona_box`` as its ``_zona_box()``
+        if one is given (None: no zona). The caller has checked that the
+        grid is not empty, the labels are in 0..3, the counts, an integer
+        array, cover the grid, and a box is the map's; the runs are kept
+        as given, so they are maximal if the caller's are, the counts keep
+        their dtype, and uint8 labels are not copied.
         """
         seg = object.__new__(cls)
         seg._hold((labels.astype(np.uint8, copy=False), counts), (height, width))
+        if zona_box is not ...:
+            seg.__dict__["_zona"] = zona_box
         return seg
 
     def _hold(self, runs: tuple[np.ndarray, np.ndarray], shape: tuple[int, int]) -> None:
@@ -341,6 +360,39 @@ class SegmentationMap:
         grid.flags.writeable = False
         self.__dict__["labels"] = grid
         return grid
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._shape == other._shape and all(map(np.array_equal, self._runs, other._runs))
+
+    def __hash__(self) -> int:
+        labels, counts = self._runs
+        return hash((self._shape, labels.tobytes(), counts.astype(np.int64).tobytes()))
+
+    __deepcopy__ = _shared_copy
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays are writeable: hold them read-only again.
+        self.__dict__.update(state)
+        self._hold(self._runs, self._shape)
+        if "labels" in state:
+            self.labels.flags.writeable = False
+
+    def _zona_box(self) -> tuple[int, int, int, int] | None:
+        """Tight (x, y, w, h) box of the zona and inside-zona pixels, None
+        if there are none: the box the map holds, else computed off the
+        zona runs, without decoding, and not kept."""
+        if "_zona" in self.__dict__:
+            return self._zona
+        labels, counts = self._runs
+        # Labels are 0..3, so >= ZONA is zona or inside-zona; a plain int keeps
+        # numpy from casting the uint8 labels to the enum's int64.
+        runs = np.flatnonzero(labels >= int(SegClass.ZONA))
+        if runs.size == 0:
+            return None
+        stops = np.cumsum(counts, dtype=np.int64)[runs]
+        return _runs_bbox(stops - counts[runs], stops - 1, self.width)
 
     @property
     def width(self) -> int:
@@ -442,12 +494,7 @@ class BinaryMask:
         """
         return self._tight_bbox
 
-    def __deepcopy__(self, memo) -> "BinaryMask":
-        # The fields, the cached box and the held arrays are immutable, so
-        # the copy shares them instead of visiting every run count.
-        clone = object.__new__(type(self))
-        clone.__dict__.update(self.__dict__)
-        return clone
+    __deepcopy__ = _shared_copy
 
     @cached_property
     def _tight_bbox(self) -> tuple[int, int, int, int]:

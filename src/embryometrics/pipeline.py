@@ -66,6 +66,7 @@ from .model import (
     SegmentationMap,
     StageClass,
     StageProbabilityMatrix,
+    _checked_ints,
     validate_prob_vector,
 )
 from .serialize import _check_kind, _decoder, _header, _record, _to_json, _typed
@@ -84,8 +85,10 @@ class PipelineConfig:
     use_dp: bool = True
 
     def __post_init__(self):
-        if self.roi_side <= 0:
+        (roi_side,) = _checked_ints((self.roi_side,), "roi_side", InvalidConfigError)
+        if roi_side <= 0:
             raise InvalidConfigError("roi_side must be positive")
+        object.__setattr__(self, "roi_side", roi_side)
         if not 0.0 <= self.fragmentation_threshold <= 3.0:
             raise InvalidConfigError("fragmentation_threshold must be in [0, 3]")
         if self.gate_aggregation not in ("median", "mean"):

@@ -327,6 +327,18 @@ def _paint_label_runs(
     return list(zip(np.split(labels, cut), np.split(counts, cut)))
 
 
+def _zona_boxes(size: int, edges: np.ndarray, owner: np.ndarray, frames: int) -> list:
+    """Each frame's tight (x, y, w, h) box of the pixels `_paint_label_runs`
+    labels zona or inside-zona from the same `_disk_rows`, or None if there
+    are none. These are the pixels of frame f's outer zona, disk 2f + 1:
+    its inner zona has the same centre and a smaller radius, so the exact
+    disk predicate puts every inner pixel among the outer's."""
+    outer = owner % 2 == 1
+    counts = np.bincount(owner[outer] // 2, minlength=frames)
+    held = _runs_bboxes(edges[outer, 0], edges[outer, 1], np.full(frames, size), counts)
+    return [box for box, _ in held]
+
+
 def _disk_mask(size: int, cx: float, cy: float, r: float) -> BinaryMask:
     return _disk_masks(size, [(cx, cy, r)])[0]
 
@@ -448,10 +460,10 @@ def generate_movie(config: SynthConfig) -> tuple[EmbryoMovie, GroundTruth]:
     # The well, then each frame's outer and inner zona.
     disks = [(size / 2.0, size / 2.0, WELL_RADIUS_FRACTION * size)]
     disks += [(cx, cy, r) for cx, cy in centers.tolist() for r in (zona_outer, zona_inner)]
-    seg_maps = [
-        SegmentationMap._from_runs(labels, counts, size, size)
-        for labels, counts in _paint_label_runs(size, *_disk_rows(size, disks), len(stages))
-    ]
+    edges, owner = _disk_rows(size, disks)
+    runs = _paint_label_runs(size, edges, owner, len(stages))
+    boxes = _zona_boxes(size, edges, owner, len(stages))
+    seg_maps = [SegmentationMap._from_runs(*r, size, size, box) for r, box in zip(runs, boxes)]
     masks = iter(_disk_masks(size, [c for g in cell_circles + pn_circles for c in g]))
     cell_masks = [tuple(islice(masks, len(g))) for g in cell_circles]
     pn_masks = [tuple(islice(masks, len(g))) for g in pn_circles]
