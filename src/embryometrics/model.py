@@ -126,15 +126,15 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 def _checked_ints(
     values: Iterable, what: str, error: type[ValidationError] = ValidationError
 ) -> tuple[int, ...]:
-    """``values`` as Python ints, each an integer or an integral float,
-    else ``error``. Checked before ``int()``, which would turn 2.9 into 2
-    and '2' into 2, and raises ValueError on NaN and OverflowError on an
-    infinity."""
+    """``values`` as Python ints, each an integer or an integral float but
+    not a bool, else ``error``. Checked before ``int()``, which would turn
+    2.9 into 2, '2' into 2 and True into 1, and raises ValueError on NaN
+    and OverflowError on an infinity."""
     values = tuple(values)
     if set(map(type, values)) <= {int}:
         return values
     for v in values:
-        if not isinstance(v, numbers.Integral) and not (
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) and not (
             isinstance(v, numbers.Real) and float(v).is_integer()
         ):
             raise error(f"{what} {v!r} is not an integer")
@@ -597,9 +597,11 @@ class EmbryoMovie:
         times = [f.time_minutes for f in frames]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValidationError("frame times must be strictly increasing")
-        if self.image_size <= 0:
+        (image_size,) = _checked_ints((self.image_size,), "image_size")
+        if image_size <= 0:
             raise ValidationError("image_size must be positive")
         object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "image_size", image_size)
         object.__setattr__(self, "plane_spacing_um", float(self.plane_spacing_um))
 
     @property

@@ -21,16 +21,17 @@ with one label) holds the parsed runs, with int32 counts
 (``SegmentationMap._from_runs``), keeps that text and is written back
 from it. Runs in any other spelling are merged into maximal runs.
 
-Every other record is read off its dataclass: ``_to_json`` writes it
-field by field, and ``_record`` reads it back by the declared field
-types, rejecting unknown, missing and wrong-typed keys at every depth.
-Records are decoded by the column: ``_column`` builds, once per declared
-type, a decoder of a list of values, so a list of records decodes each
-field as one list and a list of tuples all their items as one list.
-Every mask of a file or record is then checked, and given its tight
-box, in one vectorised pass (``_masks_from_objs``). A list that holds a
-bad value is decoded again one value at a time, so that the error is
-the one the first bad value raises alone.
+Every other value is written and read by its declared type: ``_codec``
+builds, once per type from the hints, both its encoder of one value
+(``_to_json`` is that of the value's own type) and its decoder of a list
+of values, which rejects unknown, missing and wrong-typed keys at every
+depth. A list of records decodes each field as one list and a list of
+tuples all their items as one list. Every mask of a file or record is
+then checked, and given its tight box, in one vectorised pass
+(``_masks_from_objs``). A list that holds a bad value is decoded again
+one value at a time by one replay (``_replay``), so that the error is
+the one the first bad value raises alone, and it carries that value's
+index, which a backend file's reader turns into its line number.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import csv
 import functools
 import json
 from collections import abc
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain, islice
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -110,35 +111,8 @@ def _schema(cls: type) -> dict[str, tuple[str, Any]]:
 
 
 def _to_json(value: Any) -> Any:
-    """``value`` as JSON data: a dataclass field by field, an enum by its
-    token, a tuple, list or array as a list, a mapping with encoded keys.
-
-    Masks and maps keep their own run-length codecs, and a fragmentation
-    score is its value.
-    """
-    if type(value) in (str, int, float, bool, type(None)):
-        return value
-    if isinstance(value, BinaryMask):
-        return mask_to_obj(value)
-    if isinstance(value, SegmentationMap):
-        runs = value._runs_text or _Text(_seg_runs_text(value))
-        return {"w": value.width, "h": value.height, "runs": runs}
-    if isinstance(value, FragmentationScore):
-        return value.value
-    if isinstance(value, np.ndarray):
-        return [float(x) for x in value]
-    if isinstance(value, Enum):
-        return value.token
-    if is_dataclass(value):
-        return {
-            key: _to_json(getattr(value, name))
-            for key, (name, _) in _schema(type(value)).items()
-        }
-    if isinstance(value, (tuple, list)):
-        return [_to_json(x) for x in value]
-    if isinstance(value, Mapping):
-        return {_to_json(k): _to_json(v) for k, v in value.items()}
-    return value
+    """``value`` as JSON data, written as its type declares (``_codec``)."""
+    return _codec(type(value))[0](value)
 
 
 #: What indexing or converting a malformed object raises; OverflowError
@@ -146,64 +120,91 @@ def _to_json(value: Any) -> Any:
 _MALFORMED = (KeyError, TypeError, ValueError, IndexError, OverflowError)
 
 
+def _same(value: Any) -> Any:
+    return value
+
+
 @functools.cache
-def _column(tp: Any) -> Callable[[list], list]:
-    """The decoder of a list of JSON values, each as the declared type
-    ``tp``, built once per type from its hints.
+def _codec(tp: Any) -> tuple[Callable[[Any], Any], Callable[[list], list]]:
+    """How the declared type ``tp`` is written and read, built once per
+    type from its hints: the encoder of one value as JSON data, and the
+    decoder of a list of JSON values, which ``_column`` replays.
 
-    A value of the wrong JSON type is a TypeError, a tuple of the wrong
-    length a ValueError. An int stays an int where a float is declared,
-    so a file repeats a value as given. The values are decoded as one
-    column, and the items of tuples as one column of their own; a column
-    that raises is decoded again one value at a time, so that the first
-    bad value raises the error it raises alone.
+    A dataclass is an object field by field, an enum its token, a tuple
+    or array a list, a mapping an object with encoded keys; masks and maps
+    keep their own run-length codecs, and a fragmentation score is its
+    value. A value of the wrong JSON type is a TypeError, a tuple of the
+    wrong length a ValueError. An int stays an int where a float is
+    declared, so a file repeats a value as given. The values are decoded
+    as one column, and the items of tuples as one column of their own;
+    the decoder may raise any bad value's error.
     """
-    bulk = _bulk(tp)
-
-    def column(values: list) -> list:
-        if len(values) > 1:
-            try:
-                return bulk(values)
-            except _MALFORMED:
-                pass
-            return [x for value in values for x in bulk([value])]
-        return bulk(values)
-
-    return column
-
-
-def _bulk(tp: Any) -> Callable[[list], list]:
-    """``_column(tp)`` without the replay: it may raise any bad value's
-    error, and raises the one value's error for a list of one."""
-    if tp is float:
-        return functools.partial(_scalars, (int, float))
-    if tp is int or tp is str or tp is bool:
-        return functools.partial(_scalars, (tp,))
+    if tp in (float, int, str, bool):
+        return _same, functools.partial(_scalars, (int, float) if tp is float else (tp,))
     origin, args = get_origin(tp), get_args(tp)
     if origin is Union or origin is UnionType:
         (inner,) = (a for a in args if a is not type(None))
-        return functools.partial(_optional, _column(inner))
+        encode = _codec(inner)[0]
+        return (lambda v: None if v is None else encode(v)), (
+            functools.partial(_optional, _column(inner)))
     if origin is tuple:
         (item,) = set(args) - {Ellipsis}  # every tuple type here has one item type
-        return functools.partial(_tuples, _column(item), None if Ellipsis in args else len(args))
+        encode = _codec(item)[0]
+        return (lambda v: list(map(encode, v))), functools.partial(
+            _tuples, _column(item), None if Ellipsis in args else len(args))
     if origin is abc.Mapping:
-        k, v = map(_column, args)
+        (write_key, key), (write_value, value) = ((_codec(a)[0], _column(a)) for a in args)
         # Item by item, each key before its value, as the first bad one raises.
-        return lambda values: [{k([key])[0]: v([x])[0] for key, x in _typed(m, dict).items()}
-                               for m in values]
+        return (lambda m: {write_key(k): write_value(x) for k, x in m.items()}), (
+            lambda values: [{key([k])[0]: value([x])[0] for k, x in _typed(m, dict).items()}
+                            for m in values])
     if tp is BinaryMask:
-        return _masks_from_objs
+        return mask_to_obj, _masks_from_objs
     if tp is SegmentationMap:
         # Looked up on each call, so that a patched decoder is the one used.
-        return lambda values: [seg_map_from_obj(v) for v in values]
+        return (lambda seg: {"w": seg.width, "h": seg.height,
+                             "runs": seg._runs_text or _Text(_seg_runs_text(seg))}), (
+            lambda values: [seg_map_from_obj(v) for v in values])
     if tp is FragmentationScore:
-        return lambda values: [FragmentationScore(_typed(v, int, float)) for v in values]
+        return (lambda score: score.value), (
+            lambda values: [FragmentationScore(_typed(v, int, float)) for v in values])
     if tp is np.ndarray:
         floats = _column(tuple[float, ...])
-        return lambda values: [np.asarray(x, dtype=np.float64) for x in floats(values)]
+        return (lambda a: [float(x) for x in a]), (
+            lambda values: [np.asarray(x, dtype=np.float64) for x in floats(values)])
     if isinstance(tp, type) and issubclass(tp, Enum):
-        return lambda values: [tp.from_token(_typed(v, str)) for v in values]
-    return functools.partial(_records, tp)
+        return (lambda e: e.token), lambda values: [tp.from_token(_typed(v, str)) for v in values]
+    spelt = [(key, name, _codec(t)[0]) for key, (name, t) in _schema(tp).items()]
+    return (lambda record: {key: encode(getattr(record, name)) for key, name, encode in spelt}), (
+        functools.partial(_records, tp))
+
+
+@functools.cache
+def _column(tp: Any) -> Callable[[list], list]:
+    """``_codec(tp)``'s decoder of a list of JSON values, through
+    ``_replay``: a list that holds a bad value raises the error the first
+    bad value raises alone, with its index."""
+    return functools.partial(_replay, _codec(tp)[1])
+
+
+def _replay(decode: Callable[[list], list], values: list) -> list:
+    """``decode(values)``; if that raises, or there is one value, the
+    values decoded one at a time, up to the first bad value, which raises
+    the error it raises alone, with its index in ``values`` as the error's
+    ``index``."""
+    if len(values) > 1:
+        try:
+            return decode(values)
+        except _MALFORMED:
+            pass
+    out = []
+    for i, value in enumerate(values):
+        try:
+            out += decode([value])
+        except _MALFORMED as e:
+            e.index = i
+            raise
+    return out
 
 
 def _scalars(types: tuple[type, ...], values: list) -> list:
@@ -833,36 +834,28 @@ def read_backend_tables(backend_dir: Path | str) -> dict:
     """
     d = Path(backend_dir)
 
-    def decoded(key: str, decode=None, column=None) -> list:
-        """The data rows of one file, through ``column`` of all rows if
-        given, else ``decode`` of each row. A row that fails to decode is
-        a FormatError naming the file and the line: a column that raises
-        is decoded again row by row, up to the first bad row."""
+    def decoded(key: str, column: Callable[[list], list]) -> list:
+        """The data rows of one file through ``column``, which replays;
+        a row that fails to decode is a FormatError naming the file and
+        the line of the first bad row."""
         path = d / BACKEND_FILES[key]
         rows = read_ndjson(path, _NDJSON_HEADER_KINDS[key])
-        if column is not None:
-            try:
-                return column([row for _, row in rows])
-            except _MALFORMED:
-                pass
-        out = []
-        for lineno, row in rows:
-            try:
-                out.append(decode(row) if decode else column([row])[0])
-            except _MALFORMED as e:
-                raise FormatError(
-                    f"{path}: bad row at line {lineno}: {type(e).__name__}: {e}"
-                ) from None
-        return out
+        try:
+            return column([row for _, row in rows])
+        except _MALFORMED as e:
+            raise FormatError(
+                f"{path}: bad row at line {rows[e.index][0]}: {type(e).__name__}: {e}"
+            ) from None
 
-    times: list[float] = []
-
-    def stage_row(obj: Any) -> _StageRow:
-        row = _record(_StageRow, obj)
-        if times and not row.t > times[-1]:
-            raise ValueError(f"t {row.t!r} is not after the previous row's {times[-1]!r}")
-        times.append(row.t)
-        return row
+    def stage_rows(pairs: list) -> list[_StageRow]:
+        """The stage row of each (previous row or None, row) pair. A row
+        whose t is not after the previous row's is bad; replayed in line
+        order, the previous row is good, so its JSON t is its t."""
+        rows = _records(_StageRow, [obj for _, obj in pairs])
+        for (last, _), row in zip(pairs, rows):
+            if last is not None and not row.t > last["t"]:
+                raise ValueError(f"t {row.t!r} is not after the previous row's {last['t']!r}")
+        return rows
 
     def candidate_rows(objs: list) -> list[tuple]:
         bodies = [dict(_typed(obj, dict)) for obj in objs]
@@ -870,20 +863,20 @@ def read_backend_tables(backend_dir: Path | str) -> dict:
         cands = _candidates_from_objs(bodies)
         return [((frame, cand.plane), cand) for frame, cand in zip(frames, cands)]
 
-    seg = decoded("segmentation", column=functools.partial(_records, _SegRow))
-    frag = decoded("fragmentation", column=functools.partial(_records, _FragRow))
-    stage = decoded("stage_probs", stage_row)
+    seg = decoded("segmentation", _column(_SegRow))
+    frag = decoded("fragmentation", _column(_FragRow))
+    stage = decoded("stage_probs", lambda objs: _replay(stage_rows, [*zip([None, *objs], objs)]))
     tables = {
         "seg": _FileTable("zona_segmentation", d / BACKEND_FILES["segmentation"],
                           (((r.frame, r.plane), r.map) for r in seg)),
         "frag": _FileTable("fragmentation", d / BACKEND_FILES["fragmentation"],
                            (((r.frame, r.plane), float(r.score)) for r in frag)),
         "stage": _FileTable("stage_classification", d / BACKEND_FILES["stage_probs"],
-                            enumerate(r.p for r in stage), times),
+                            enumerate(r.p for r in stage), [r.t for r in stage]),
     }
     for key in ("cells", "pronuclei"):
         table: dict = {}
-        for k, cand in decoded(key, column=candidate_rows):
+        for k, cand in decoded(key, functools.partial(_replay, candidate_rows)):
             table.setdefault(k, []).append(cand)
         tables[key] = {k: tuple(v) for k, v in table.items()}
     return tables

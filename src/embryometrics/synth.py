@@ -39,6 +39,7 @@ from .model import (
     PLANE_COUNT,
     SegmentationMap,
     StageClass,
+    _checked_ints,
     _runs_bboxes,
     _value_runs,
 )
@@ -101,6 +102,9 @@ class SynthConfig:
     noise: NoiseConfig = field(default_factory=NoiseConfig)
 
     def __post_init__(self):
+        for name in ("seed", "frames", "image_size"):
+            (value,) = _checked_ints((getattr(self, name),), name, InvalidConfigError)
+            object.__setattr__(self, name, value)
         if self.seed < 0:
             # SeedSequence takes only non-negative entropy.
             raise InvalidConfigError("seed must be >= 0")
@@ -112,7 +116,10 @@ class SynthConfig:
             raise InvalidConfigError(f"plane_count must be {PLANE_COUNT}")
         if not 0 < self.frame_interval_minutes < math.inf:
             raise InvalidConfigError("frame interval must be positive and finite")
-        dwell = tuple((int(lo), int(hi)) for lo, hi in self.dwell_ranges)
+        dwell = tuple(
+            _checked_ints((lo, hi), "dwell range bound", InvalidConfigError)
+            for lo, hi in self.dwell_ranges
+        )
         if len(dwell) != len(ORDERED_CLASSES):
             raise InvalidConfigError(
                 f"need {len(ORDERED_CLASSES)} dwell ranges, got {len(dwell)}"
@@ -148,9 +155,6 @@ class SynthConfig:
         if not 0 < n.logit_scale < math.inf:
             raise InvalidConfigError("logit_scale must be positive and finite")
         object.__setattr__(self, "dwell_ranges", dwell)
-        object.__setattr__(self, "frames", int(self.frames))
-        object.__setattr__(self, "image_size", int(self.image_size))
-        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(
             self, "frame_interval_minutes", float(self.frame_interval_minutes)
         )

@@ -175,15 +175,15 @@ def embryo(tmp_path_factory):
 
 @pytest.fixture
 def cells(embryo, tmp_path):
-    """A copy of the backend files whose ``cells.ndjson`` rows 2 and 4
-    (lines 3 and 5) a test edits, and its path."""
+    """A copy of the backend files whose rows 2 and 4 (lines 3 and 5) of
+    one file, ``cells.ndjson`` unless named, a test edits, and its path."""
     backend = tmp_path / "backend"
     backend.mkdir()
     for f in (embryo / "backend").iterdir():
         (backend / f.name).write_bytes(f.read_bytes())
 
-    def edit(change):
-        path = backend / "cells.ndjson"
+    def edit(change, name="cells.ndjson"):
+        path = backend / name
         lines = path.read_text().splitlines()
         rows = {i: json.loads(lines[i]) for i in (2, 4)}
         change(rows)
@@ -207,23 +207,47 @@ def loose_box(row):
     row["bbox"][0] += 1
 
 
-@pytest.mark.parametrize("first, second, message", [
-    (bad_rle, no_frame, "FormatError: bad mask: run values must be integers"),
-    (no_frame, bad_rle, "KeyError: 'frame'"),
-    (loose_box, bad_rle, "ValidationError: bad candidate: bbox (21, 20, 23, 23) is not "
-                         "the tight bounding box (20, 20, 23, 23)"),
+def late_t(row):
+    row["t"] = 1e9
+
+
+def bad_p(row):
+    row["p"] = "x"
+
+
+def bad_map(row):
+    row["map"]["w"] += 1
+
+
+def bad_frame(row):
+    row["frame"] = "x"
+
+
+# The stage rows' t check runs row by row with their decoding, so a row
+# that is not after the one before is a bad row, in line order.
+@pytest.mark.parametrize("name, first, second, line, message", [
+    ("cells.ndjson", bad_rle, no_frame, 3, "FormatError: bad mask: run values must be integers"),
+    ("cells.ndjson", no_frame, bad_rle, 3, "KeyError: 'frame'"),
+    ("cells.ndjson", loose_box, bad_rle, 3, "ValidationError: bad candidate: bbox (21, 20, 23, 23) "
+                                            "is not the tight bounding box (20, 20, 23, 23)"),
+    ("stage_probs.ndjson", late_t, bad_p, 4,
+     "ValueError: t 40.0 is not after the previous row's 1000000000.0"),
+    ("stage_probs.ndjson", bad_p, late_t, 3, "TypeError: 'p': expected list, got 'x'"),
+    ("segmentation.ndjson", bad_map, bad_frame, 3,
+     "FormatError: bad segmentation map: run lengths do not cover the grid"),
+    ("segmentation.ndjson", bad_frame, bad_map, 3, "TypeError: 'frame': expected int, got 'x'"),
 ])
-def test_two_bad_rows_name_the_first(cells, first, second, message):
+def test_two_bad_rows_name_the_first(cells, name, first, second, line, message):
     backend, edit = cells
 
     def change(rows):
         first(rows[2])
         second(rows[4])
 
-    path = edit(change)
+    path = edit(change, name)
     with pytest.raises(FormatError) as info:
         read_backend_tables(backend)
-    assert str(info.value) == f"{path}: bad row at line 3: {message}"
+    assert str(info.value) == f"{path}: bad row at line {line}: {message}"
 
 
 def test_a_bool_run_fails_run(cells, embryo, tmp_path, capsys):

@@ -1,8 +1,8 @@
 """ROI windows refuse what is not an integer.
 
 `Roi` used to cast its offsets, side and centre with `int()`, so 2.7
-became 2 and '7' became 7, and `roi_around`, `center_roi` and a
-`PipelineConfig` side of 2.5 passed their fractions on to it. Each is now
+became 2, '7' became 7 and True became 1, and `roi_around`, `center_roi`
+and a `PipelineConfig` side of 2.5 passed their fractions on to it. Each is now
 refused with a one-line ValidationError (InvalidConfigError for the
 config) before any cast. Integral floats and numpy integers are still
 read as the ints they hold.
@@ -38,6 +38,8 @@ class TestRoi:
     def test_fractions_no_longer_truncate(self):
         # Truncated, this was Roi(2, 0, 10, (5, 7)).
         assert_refused(lambda: Roi(2.7, 0, 10.9, (5.5, "7")), "ROI value 2.7 is not an integer")
+        # Read as an int, this was Roi(1, 0, 10, (5, 5)).
+        assert_refused(lambda: Roi(True, 0, 10, (5, 5)), "ROI value True is not an integer")
 
     @pytest.mark.parametrize("center", [(5,), (5, 7, 9)])
     def test_center_is_a_pair(self, center):
